@@ -2,16 +2,27 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-output bench bench-full bench-output bench-perf bench-perf-update bench-parallel bench-serve bench-serve-overload serve examples figures clean
+.PHONY: install test test-output perfbench bench bench-full bench-output bench-perf bench-perf-update bench-parallel bench-serve bench-serve-overload serve examples figures clean
 
 install:
 	pip install -e '.[dev]'
 
+# PYTHONPATH=src like tier-1 and CI, so a fresh checkout needs no install.
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 test-output:
-	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
+
+# The repository benchmark: every workload BENCHMARK.json names, once
+# each (end-to-end metrics; see perfbench/README.md).
+PERFBENCH_SEED ?= 1
+PERFBENCH_SECONDS ?= 20
+perfbench:
+	for workload in $$($(PYTHON) -c "import json; print(' '.join(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))"); do \
+		echo "== $$workload"; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed $(PERFBENCH_SEED) --seconds $(PERFBENCH_SECONDS) --trace 0 || exit 1; \
+	done
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

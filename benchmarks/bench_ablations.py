@@ -13,15 +13,11 @@ import random
 
 import pytest
 
+from repro import partition
 from repro.bench import gowalla_dataset
 from repro.bench.harness import Table
 from repro.bench.workloads import instance_for
-from repro.core import (
-    IncrementalRMGP,
-    solve_baseline,
-    solve_independent_sets,
-    solve_simultaneous,
-)
+from repro.core import IncrementalRMGP
 from repro.core.normalization import normalize
 from repro.datasets import gowalla_like
 from repro.distributed import (
@@ -69,8 +65,8 @@ class TestColoringAblation:
                 ("dsatur", dsatur_coloring),
             ):
                 coloring = algorithm(instance.graph)
-                result = solve_independent_sets(
-                    instance, seed=0, coloring=coloring, threads=8
+                result = partition(
+                    instance, solver="is", seed=0, coloring=coloring, threads=8
                 )
                 table.add_row(
                     algorithm=name,
@@ -96,8 +92,8 @@ class TestOrderingAblation:
                 columns=["order", "rounds", "ms", "objective"],
             )
             for order in ("random", "given", "degree"):
-                result = solve_baseline(
-                    instance, init="closest", order=order, seed=0
+                result = partition(
+                    instance, solver="b", init="closest", order=order, seed=0
                 )
                 table.add_row(
                     order=order,
@@ -125,13 +121,16 @@ class TestWarmStartAblation:
                 title="Ablation: repeated execution after a small update",
                 columns=["strategy", "rounds", "deviations"],
             )
-            cold = solve_baseline(instance, init="closest", order="degree", seed=0)
+            cold = partition(
+                instance, solver="b", init="closest", order="degree", seed=0
+            )
             table.add_row(
                 strategy="cold", rounds=cold.num_rounds,
                 deviations=cold.total_deviations,
             )
-            warm = solve_baseline(
-                instance, order="degree", seed=0, warm_start=cold.assignment
+            warm = partition(
+                instance, solver="b", order="degree", seed=0,
+                warm_start=cold.assignment,
             )
             table.add_row(
                 strategy="warm", rounds=warm.num_rounds,
@@ -170,15 +169,14 @@ class TestWarmStartAblation:
 class TestSchedulingAblation:
     def test_round_robin_vs_max_gain(self, benchmark, emit, instance):
         """Best-improvement vs the paper's round-robin schedule."""
-        from repro.core import solve_max_gain
 
         def run():
             table = Table(
                 title="Ablation: round-robin vs max-gain scheduling",
                 columns=["schedule", "moves", "ms", "objective"],
             )
-            round_robin = solve_baseline(
-                instance, init="closest", order="given"
+            round_robin = partition(
+                instance, solver="b", init="closest", order="given"
             )
             table.add_row(
                 schedule="round-robin",
@@ -186,7 +184,7 @@ class TestSchedulingAblation:
                 ms=round_robin.wall_seconds * 1e3,
                 objective=round_robin.value.total,
             )
-            max_gain = solve_max_gain(instance, init="closest")
+            max_gain = partition(instance, solver="mg", init="closest")
             table.add_row(
                 schedule="max-gain",
                 moves=max_gain.extra["total_moves"],
@@ -213,8 +211,9 @@ class TestSimultaneousAblation:
                 columns=["dynamics", "converged", "rounds",
                          "potential_increases"],
             )
-            sequential = solve_baseline(
-                instance, init="closest", order="given", track_potential=True
+            sequential = partition(
+                instance, solver="b", init="closest", order="given",
+                track_potential=True,
             )
             table.add_row(
                 dynamics="sequential",
@@ -223,8 +222,9 @@ class TestSimultaneousAblation:
                 potential_increases=0,
             )
             for damping in (1.0, 0.5):
-                sync = solve_simultaneous(
-                    instance, init="closest", damping=damping, seed=0,
+                sync = partition(
+                    instance, solver="sync", init="closest", damping=damping,
+                    seed=0,
                     max_rounds=60,
                 )
                 table.add_row(
@@ -250,7 +250,7 @@ class TestIncrementalScalingAblation:
 
         import numpy as np
 
-        from repro.core import RMGPInstance, solve_all
+        from repro.core import RMGPInstance
         from repro.core.normalization import normalize
 
         def run():
@@ -270,7 +270,7 @@ class TestIncrementalScalingAblation:
                     "pessimistic",
                 )
                 start = time.perf_counter()
-                solve_all(instance, seed=0)
+                partition(instance, solver="all", seed=0)
                 cold_ms = (time.perf_counter() - start) * 1e3
 
                 engine = IncrementalRMGP(instance, seed=0)

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import partition
 from repro.bench import gowalla_dataset, run_fig10
 from repro.bench.workloads import instance_for
-from repro.core import solve_baseline
 from repro.core.normalization import normalize
 
 
@@ -20,21 +20,27 @@ def fig10_instance():
 
 def test_fig10_b_speed(benchmark, fig10_instance):
     result = benchmark(
-        lambda: solve_baseline(fig10_instance, init="random", order="random", seed=0)
+        lambda: partition(
+            fig10_instance, solver="b", init="random", order="random", seed=0
+        )
     )
     assert result.converged
 
 
 def test_fig10_b_i_speed(benchmark, fig10_instance):
     result = benchmark(
-        lambda: solve_baseline(fig10_instance, init="closest", order="random", seed=0)
+        lambda: partition(
+            fig10_instance, solver="b", init="closest", order="random", seed=0
+        )
     )
     assert result.converged
 
 
 def test_fig10_b_i_o_speed(benchmark, fig10_instance):
     result = benchmark(
-        lambda: solve_baseline(fig10_instance, init="closest", order="degree", seed=0)
+        lambda: partition(
+            fig10_instance, solver="b", init="closest", order="degree", seed=0
+        )
     )
     assert result.converged
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import partition
 from repro.bench import gowalla_dataset, run_fig11
 from repro.bench.workloads import instance_for
-from repro.core import solve_baseline
 from repro.core.normalization import normalize
 
 
@@ -20,8 +20,8 @@ def fig11_instance(request):
 
 def test_fig11_b_i_o_speed(benchmark, fig11_instance):
     result = benchmark(
-        lambda: solve_baseline(
-            fig11_instance, init="closest", order="degree", seed=0
+        lambda: partition(
+            fig11_instance, solver="b", init="closest", order="degree", seed=0
         )
     )
     assert result.converged

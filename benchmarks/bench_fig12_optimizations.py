@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import partition
 from repro.bench import (
     gowalla_dataset,
     run_fig12_per_round,
@@ -15,13 +16,6 @@ from repro.bench import (
 )
 from repro.bench.harness import full_scale
 from repro.bench.workloads import instance_for
-from repro.core import (
-    solve_all,
-    solve_baseline,
-    solve_global_table,
-    solve_independent_sets,
-    solve_strategy_elimination,
-)
 from repro.core.normalization import normalize
 
 
@@ -35,28 +29,30 @@ def fig12_instance():
 
 def test_fig12_baseline_speed(benchmark, fig12_instance):
     result = benchmark(
-        lambda: solve_baseline(fig12_instance, init="closest", order="degree", seed=0)
+        lambda: partition(
+            fig12_instance, solver="b", init="closest", order="degree", seed=0
+        )
     )
     assert result.converged
 
 
 def test_fig12_se_speed(benchmark, fig12_instance):
-    result = benchmark(lambda: solve_strategy_elimination(fig12_instance, seed=0))
+    result = benchmark(lambda: partition(fig12_instance, solver="se", seed=0))
     assert result.converged
 
 
 def test_fig12_is_speed(benchmark, fig12_instance):
-    result = benchmark(lambda: solve_independent_sets(fig12_instance, seed=0))
+    result = benchmark(lambda: partition(fig12_instance, solver="is", seed=0))
     assert result.converged
 
 
 def test_fig12_gt_speed(benchmark, fig12_instance):
-    result = benchmark(lambda: solve_global_table(fig12_instance, seed=0))
+    result = benchmark(lambda: partition(fig12_instance, solver="gt", seed=0))
     assert result.converged
 
 
 def test_fig12_all_speed(benchmark, fig12_instance):
-    result = benchmark(lambda: solve_all(fig12_instance, seed=0))
+    result = benchmark(lambda: partition(fig12_instance, solver="all", seed=0))
     assert result.converged
 
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro import partition
 from repro.baselines import solve_metis_hungarian, solve_uml_greedy, solve_uml_lp
 from repro.bench import run_fig7, small_uml_dataset
 from repro.bench.harness import full_scale
 from repro.bench.workloads import instance_for
-from repro.core import solve_baseline
 from repro.core.normalization import normalize
 
 NUM_USERS = 200 if full_scale() else 120
@@ -30,7 +30,9 @@ def fig7_instance():
 
 def test_fig7_rmgp_b_speed(benchmark, fig7_instance):
     result = benchmark(
-        lambda: solve_baseline(fig7_instance, init="random", order="random", seed=0)
+        lambda: partition(
+            fig7_instance, solver="b", init="random", order="random", seed=0
+        )
     )
     assert result.converged
 

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro import partition
 from repro.baselines import solve_uml_lp
 from repro.bench import run_fig8, small_uml_dataset
 from repro.bench.harness import full_scale
 from repro.bench.workloads import instance_for
-from repro.core import solve_baseline
 from repro.core.normalization import normalize
 
 NODE_COUNTS = [100, 150, 200, 250, 300] if full_scale() else [80, 120, 160]
@@ -28,8 +28,9 @@ def fig8_largest_instance():
 
 def test_fig8_rmgp_b_speed_largest(benchmark, fig8_largest_instance):
     result = benchmark(
-        lambda: solve_baseline(
-            fig8_largest_instance, init="random", order="random", seed=0
+        lambda: partition(
+            fig8_largest_instance, solver="b", init="random", order="random",
+            seed=0,
         )
     )
     assert result.converged

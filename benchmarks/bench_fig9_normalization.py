@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import partition
 from repro.bench import gowalla_dataset, run_fig9, run_fig9_cn_values
 from repro.bench.workloads import instance_for
-from repro.core import solve_baseline
 from repro.core.normalization import normalize
 
 
@@ -26,8 +26,9 @@ def normalized_instance():
 
 def test_fig9_normalized_solve_speed(benchmark, normalized_instance):
     result = benchmark(
-        lambda: solve_baseline(
-            normalized_instance, init="closest", order="given", seed=0
+        lambda: partition(
+            normalized_instance, solver="b", init="closest", order="given",
+            seed=0,
         )
     )
     assert result.converged

@@ -33,19 +33,21 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from bench_perf_regression import build_instance, calibration_ms  # noqa: E402
+from repro import partition  # noqa: E402
 from repro.bench import history as bench_history  # noqa: E402
-from repro.core.vectorized import _solve_vectorized as solve_vectorized  # noqa: E402
 
 PROFILE = "parallel"
 
 
 def _time_solve(instance, repeats: int, **kwargs):
-    solve_vectorized(instance, init="closest", seed=0, **kwargs)  # warmup
+    partition(instance, solver="vec", init="closest", seed=0, **kwargs)  # warmup
     best = float("inf")
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = solve_vectorized(instance, init="closest", seed=0, **kwargs)
+        result = partition(
+            instance, solver="vec", init="closest", seed=0, **kwargs
+        )
         best = min(best, time.perf_counter() - start)
     return best * 1e3, result
 

@@ -51,17 +51,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro import partition  # noqa: E402
 from repro.bench import history as bench_history  # noqa: E402
 from repro.bench.workloads import instance_for, small_uml_dataset  # noqa: E402
-from repro.core.baseline import _solve_baseline as solve_baseline  # noqa: E402
-from repro.core.global_table import (  # noqa: E402
-    _solve_global_table as solve_global_table,
-)
-from repro.core.independent_sets import (  # noqa: E402
-    _solve_independent_sets as solve_independent_sets,
-)
 from repro.core.normalization import normalize  # noqa: E402
-from repro.core.vectorized import _solve_vectorized as solve_vectorized  # noqa: E402
 
 BENCH_FILE = REPO_ROOT / "benchmarks" / "BENCH_core.json"
 SCHEMA = "bench-core/v1"
@@ -84,28 +77,31 @@ PROFILES = {
 }
 
 SOLVERS = {
-    "RMGP_vec": lambda inst: solve_vectorized(inst, init="closest", seed=0),
-    "RMGP_gt": lambda inst: solve_global_table(
-        inst, init="closest", order="given", seed=0
+    "RMGP_vec": lambda inst: partition(
+        inst, solver="vec", init="closest", seed=0
     ),
-    "RMGP_b": lambda inst: solve_baseline(
-        inst, init="closest", order="given", seed=0
+    "RMGP_gt": lambda inst: partition(
+        inst, solver="gt", init="closest", order="given", seed=0
     ),
-    "RMGP_is": lambda inst: solve_independent_sets(
-        inst, init="closest", order="given", seed=0
+    "RMGP_b": lambda inst: partition(
+        inst, solver="b", init="closest", order="given", seed=0
     ),
-    "RMGP_b_rand": lambda inst: solve_baseline(
-        inst, init="random", order="random", seed=0
+    "RMGP_is": lambda inst: partition(
+        inst, solver="is", init="closest", order="given", seed=0
+    ),
+    "RMGP_b_rand": lambda inst: partition(
+        inst, solver="b", init="random", order="random", seed=0
     ),
     # Shared-memory worker-pool backend.  Assignments are byte-identical
     # to the serial keys, so the committed assignment_sha256 for the
     # _shm4 keys must match RMGP_vec / RMGP_is — drift here means the
     # merge order broke, not a platform-float wobble.
-    "RMGP_vec_shm4": lambda inst: solve_vectorized(
-        inst, init="closest", seed=0, backend="shm", workers=4
+    "RMGP_vec_shm4": lambda inst: partition(
+        inst, solver="vec", init="closest", seed=0, backend="shm", workers=4
     ),
-    "RMGP_is_shm4": lambda inst: solve_independent_sets(
-        inst, init="closest", order="given", seed=0, backend="shm", workers=4
+    "RMGP_is_shm4": lambda inst: partition(
+        inst, solver="is", init="closest", order="given", seed=0,
+        backend="shm", workers=4,
     ),
 }
 

@@ -18,14 +18,10 @@ import random
 import numpy as np
 import pytest
 
+from repro import partition
 from repro.baselines import lp_lower_bound, solve_alpha_expansion, solve_exact
 from repro.bench.harness import Table
-from repro.core import (
-    RMGPInstance,
-    price_of_anarchy_bound,
-    solve_all,
-    solve_baseline,
-)
+from repro.core import RMGPInstance, price_of_anarchy_bound
 from repro.graph import erdos_renyi
 
 NUM_INSTANCES = 12
@@ -50,9 +46,9 @@ def test_equilibrium_vs_optimal_ratios(benchmark, emit, alpha):
         )
         for seed, instance in enumerate(_ensemble(alpha)):
             exact = solve_exact(instance)
-            equilibrium = solve_baseline(instance, seed=seed)
-            warm = solve_baseline(
-                instance, warm_start=exact.assignment, seed=seed
+            equilibrium = partition(instance, solver="b", seed=seed)
+            warm = partition(
+                instance, solver="b", warm_start=exact.assignment, seed=seed
             )
             expansion = solve_alpha_expansion(instance, seed=seed)
             opt = exact.value.total

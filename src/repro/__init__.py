@@ -78,7 +78,7 @@ from repro.runtime import (
     SteppingClock,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "CancelToken",

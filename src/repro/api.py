@@ -13,12 +13,10 @@ call::
 registry, applies the common :class:`SolveOptions` knobs (rejecting any
 the chosen variant does not understand), and forwards solver-specific
 keyword arguments (``capacities=``, ``threads=``, ``damping=``, ...)
-untouched.  The legacy ``solve_*`` functions remain as deprecation shims
-that call the same implementations, so both paths produce byte-identical
-assignments under a fixed seed.
+untouched.
 
-See ``docs/API.md`` for the full surface, the trace/metric schema and a
-migration table from the old signatures.
+See ``docs/API.md`` for the full surface, the trace/metric schema and the
+translation table for the ``solve_*`` functions removed in 2.0.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ class SolveOptions:
     Defaults intentionally stay ``None`` rather than copying any one
     solver's defaults: the variants differ (RMGP_b initializes randomly,
     the optimized variants use ``"closest"``), and ``partition()`` must
-    reproduce each legacy entry point exactly.
+    reproduce each variant's own defaults exactly.
 
     Attributes
     ----------

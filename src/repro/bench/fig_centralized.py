@@ -11,21 +11,13 @@ Section 6.3's setup.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
+from repro.api import partition
 from repro.bench.harness import Table, full_scale, time_call
 from repro.bench.workloads import event_sweep, gowalla_dataset, instance_for
-from repro.core.baseline import _solve_baseline as solve_baseline
-from repro.core.combined import _solve_all as solve_all
-from repro.core.global_table import _solve_global_table as solve_global_table
-from repro.core.independent_sets import (
-    _solve_independent_sets as solve_independent_sets,
-)
 from repro.core.instance import RMGPInstance
 from repro.core.normalization import normalize
-from repro.core.strategy_elimination import (
-    _solve_strategy_elimination as solve_strategy_elimination,
-)
 
 ALPHA_SWEEP = [0.1, 0.3, 0.5, 0.7, 0.9]
 
@@ -35,14 +27,13 @@ HEURISTIC_VARIANTS: Dict[str, Dict[str, str]] = {
     "RMGP_b+i+o": {"init": "closest", "order": "degree"},
 }
 
-OPTIMIZATION_SOLVERS: Dict[str, Callable] = {
-    "RMGP_b+i+o": lambda inst, seed: solve_baseline(
-        inst, init="closest", order="degree", seed=seed
-    ),
-    "RMGP_se": lambda inst, seed: solve_strategy_elimination(inst, seed=seed),
-    "RMGP_is": lambda inst, seed: solve_independent_sets(inst, seed=seed),
-    "RMGP_gt": lambda inst, seed: solve_global_table(inst, seed=seed),
-    "RMGP_all": lambda inst, seed: solve_all(inst, seed=seed),
+#: Figure 12's variants as ``partition()`` arguments.
+OPTIMIZATION_SOLVERS: Dict[str, Dict[str, str]] = {
+    "RMGP_b+i+o": {"solver": "b", "init": "closest", "order": "degree"},
+    "RMGP_se": {"solver": "se"},
+    "RMGP_is": {"solver": "is"},
+    "RMGP_gt": {"solver": "gt"},
+    "RMGP_all": {"solver": "all"},
 }
 
 
@@ -66,7 +57,9 @@ def run_fig10(
         instance = _normalized(instance_for(dataset, num_events=k, seed=seed))
         for variant, kwargs in HEURISTIC_VARIANTS.items():
             measured = time_call(
-                lambda kw=kwargs: solve_baseline(instance, seed=seed, **kw),
+                lambda kw=kwargs: partition(
+                    instance, solver="b", seed=seed, **kw
+                ),
                 repeats=repeats,
             )
             result = measured.result
@@ -111,7 +104,9 @@ def run_fig11(
         )
         for variant, kwargs in HEURISTIC_VARIANTS.items():
             measured = time_call(
-                lambda kw=kwargs: solve_baseline(instance, seed=seed, **kw),
+                lambda kw=kwargs: partition(
+                    instance, solver="b", seed=seed, **kw
+                ),
                 repeats=repeats,
             )
             result = measured.result
@@ -143,9 +138,10 @@ def run_fig12_vs_k(
     for k in event_counts:
         instance = _normalized(instance_for(dataset, num_events=k, seed=seed))
         row = {"k": k}
-        for name, solver in OPTIMIZATION_SOLVERS.items():
+        for name, kwargs in OPTIMIZATION_SOLVERS.items():
             measured = time_call(
-                lambda s=solver: s(instance, seed), repeats=repeats
+                lambda kw=kwargs: partition(instance, seed=seed, **kw),
+                repeats=repeats,
             )
             row[f"{name}_ms"] = measured.median * 1e3
         table.add_row(**row)
@@ -171,9 +167,10 @@ def run_fig12_vs_alpha(
             instance_for(dataset, num_events=num_events, alpha=alpha, seed=seed)
         )
         row = {"alpha": alpha}
-        for name, solver in OPTIMIZATION_SOLVERS.items():
+        for name, kwargs in OPTIMIZATION_SOLVERS.items():
             measured = time_call(
-                lambda s=solver: s(instance, seed), repeats=repeats
+                lambda kw=kwargs: partition(instance, seed=seed, **kw),
+                repeats=repeats,
             )
             row[f"{name}_ms"] = measured.median * 1e3
         table.add_row(**row)
@@ -198,8 +195,8 @@ def run_fig12_per_round(
         instance_for(dataset, num_events=num_events, alpha=alpha, seed=seed)
     )
     results = {
-        name: solver(instance, seed)
-        for name, solver in OPTIMIZATION_SOLVERS.items()
+        name: partition(instance, seed=seed, **kwargs)
+        for name, kwargs in OPTIMIZATION_SOLVERS.items()
     }
     max_rounds = max(len(r.rounds) for r in results.values())
     table = Table(

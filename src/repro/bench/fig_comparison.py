@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.api import partition
 from repro.baselines.metis_hungarian import solve_metis_hungarian
 from repro.baselines.uml_greedy import solve_uml_greedy
 from repro.baselines.uml_lp import solve_uml_lp
 from repro.bench.harness import Table, full_scale, time_call
 from repro.bench.workloads import instance_for, small_uml_dataset
-from repro.core.baseline import _solve_baseline as solve_baseline
 from repro.core.normalization import normalize
 
 #: Paper's Figure 7 x-axis.
@@ -33,7 +33,9 @@ METHODS = ("RMGP_b", "MH", "UML_lp", "UML_gr")
 def _solve(method: str, instance, seed: int):
     if method == "RMGP_b":
         # Unoptimized baseline: random init, random order (Section 6.1).
-        return solve_baseline(instance, init="random", order="random", seed=seed)
+        return partition(
+            instance, solver="b", init="random", order="random", seed=seed
+        )
     if method == "MH":
         return solve_metis_hungarian(instance, seed=seed)
     if method == "UML_lp":

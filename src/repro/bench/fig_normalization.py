@@ -15,9 +15,9 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.api import partition
 from repro.bench.harness import Table
 from repro.bench.workloads import event_sweep, gowalla_dataset, instance_for
-from repro.core.baseline import _solve_baseline as solve_baseline
 from repro.core.normalization import estimate_cn, normalize
 
 VARIANTS = ("raw", "optimistic", "pessimistic")
@@ -61,8 +61,8 @@ def run_fig9(
             else:
                 instance, estimate = normalize(base, variant)
                 cn = estimate.cn
-            result = solve_baseline(
-                instance, init="closest", order="given", seed=seed
+            result = partition(
+                instance, solver="b", init="closest", order="given", seed=seed
             )
             value = result.value
             # Components weighted as in Equation 1/7 at this alpha.

@@ -10,14 +10,10 @@ from repro.core.analysis import (
     potential_trace,
     quality_summary,
 )
-from repro.core.baseline import solve_baseline
 from repro.core.capacitated import (
     capacity_violations,
     is_capacitated_equilibrium,
-    solve_capacitated,
-    solve_with_minimums,
 )
-from repro.core.combined import solve_all
 from repro.core.costs import (
     CombinedCost,
     CostProvider,
@@ -37,15 +33,8 @@ from repro.core.equilibrium import (
     round_bound,
 )
 from repro.core.game import SOLVERS, RMGPGame
-from repro.core.global_table import (
-    build_global_table,
-    happiness,
-    solve_global_table,
-)
-from repro.core.independent_sets import (
-    groups_from_coloring,
-    solve_independent_sets,
-)
+from repro.core.global_table import build_global_table, happiness
+from repro.core.independent_sets import groups_from_coloring
 from repro.core.instance import RMGPInstance
 from repro.core.normalization import (
     NormalizationEstimate,
@@ -68,16 +57,12 @@ from repro.core.objective import (
     total_player_cost,
 )
 from repro.core.incremental import IncrementalRMGP
-from repro.core.priority import solve_max_gain
 from repro.core.result import PartitionResult, RoundStats, make_result
 from repro.core.serialize import load_assignment, load_labels, save_result
-from repro.core.simultaneous import solve_simultaneous
 from repro.core.strategy_elimination import (
     EliminationPlan,
     build_elimination_plan,
-    solve_strategy_elimination,
 )
-from repro.core.vectorized import solve_vectorized
 
 __all__ = [
     "ClassProfile",
@@ -135,15 +120,5 @@ __all__ = [
     "price_of_stability_bound",
     "round_bound",
     "social_cost_sum",
-    "solve_all",
-    "solve_baseline",
-    "solve_capacitated",
-    "solve_global_table",
-    "solve_max_gain",
-    "solve_with_minimums",
-    "solve_simultaneous",
-    "solve_vectorized",
-    "solve_independent_sets",
-    "solve_strategy_elimination",
     "total_player_cost",
 ]

@@ -16,19 +16,17 @@ The two heuristics evaluated in Section 6.3 are exposed as parameters:
 
 from __future__ import annotations
 
-import random
 from typing import List, Optional, Union
 
 import numpy as np
 
 from repro.core import dynamics
 from repro.core.instance import RMGPInstance
-from repro.core.objective import player_strategy_costs, potential
-from repro.core.result import PartitionResult, RoundStats, make_result
-from repro.obs.recorder import Recorder, active_recorder
+from repro.core.objective import player_strategy_costs
+from repro.core.result import PartitionResult
+from repro.obs.recorder import Recorder
 from repro.runtime.budget import RuntimeBudget
-from repro.runtime.checkpoint import SolveCheckpoint, rounds_to_payload
-from repro.runtime.executor import SolveRuntime, load_resume
+from repro.runtime.checkpoint import SolveCheckpoint
 
 
 def _solve_baseline(
@@ -90,112 +88,45 @@ def _solve_baseline(
         With one :class:`RoundStats` for initialization (round 0) and one
         per best-response round.
     """
-    rec = active_recorder(recorder)
-    rng = random.Random(seed)
-    clock = dynamics.RoundClock()
-
-    name = solver_name or _variant_name(init, order)
-    runtime = SolveRuntime.create(
-        budget=budget,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-        recorder=rec,
+    loop = _BaselineLoop(
+        solver_name or _variant_name(init, order), instance,
+        seed=seed, max_rounds=max_rounds, recorder=recorder, budget=budget,
+        checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_path,
+        resume_from=resume_from,
     )
-    restored = load_resume(resume_from, instance, name, rec)
-    with rec.span("solve", solver=name, n=instance.n, k=instance.k):
-        if restored is not None:
-            assignment = restored.assignment
-            sweep = [int(p) for p in restored.state["sweep"]]
-            active = dynamics.ActiveSet(instance.n, dirty=restored.frontier)
-            if restored.rng_state is not None:
-                rng.setstate(restored.rng_state)
-            rounds: List[RoundStats] = restored.restored_rounds()
-            round_index = restored.round_index
-        else:
-            with rec.span("round", round=0, phase="init"):
-                assignment = dynamics.initial_assignment(
-                    instance, init, rng, warm_start
-                )
-                sweep = dynamics.player_order(instance, order, rng)
-            rounds = [
-                RoundStats(
-                    round_index=0,
-                    deviations=0,
-                    seconds=clock.lap(),
-                    potential=(
-                        potential(instance, assignment)
-                        if track_potential
-                        else None
-                    ),
-                )
-            ]
-            active = dynamics.ActiveSet(instance.n)
-            round_index = 0
+    loop.init_method, loop.order, loop.warm_start = init, order, warm_start
+    loop.reshuffle = reshuffle_each_round and order == "random"
+    loop.track_potential = track_potential
+    return loop.run()
 
-        def make_checkpoint() -> SolveCheckpoint:
-            return SolveCheckpoint(
-                solver=name,
-                round_index=round_index,
-                assignment=assignment.copy(),
-                frontier=active.flags.copy(),
-                rng_state=rng.getstate(),
-                rounds=rounds_to_payload(rounds),
-                state={"sweep": [int(p) for p in sweep]},
-                fingerprint=SolveCheckpoint.fingerprint_of(instance),
-            )
 
-        converged = False
-        while not converged:
-            if runtime is not None and runtime.check(round_index + 1):
-                break
-            round_index += 1
-            dynamics.check_round_budget(round_index, max_rounds, name)
-            if reshuffle_each_round and order == "random":
-                sweep = dynamics.player_order(instance, order, rng)
-            with rec.span("round", round=round_index) as round_span:
-                deviations, examined = _best_response_round(
-                    instance, assignment, sweep, active
-                )
-            rec.round_end(
-                round_span, name, round_index,
-                deviations=deviations,
-                examined=examined,
-                cost_evaluations=examined * instance.k,
-                frontier_fn=active.count,
-                potential_fn=lambda: potential(instance, assignment),
-            )
-            rounds.append(
-                RoundStats(
-                    round_index=round_index,
-                    deviations=deviations,
-                    seconds=clock.lap(),
-                    potential=(
-                        potential(instance, assignment)
-                        if track_potential
-                        else None
-                    ),
-                    players_examined=examined,
-                )
-            )
-            converged = deviations == 0
-            if runtime is not None and not converged:
-                runtime.note_round(round_index, make_checkpoint)
-        if runtime is not None:
-            runtime.finalize(make_checkpoint)
+class _BaselineLoop(dynamics.RoundLoop):
+    """Figure 3 on the shared round driver: frontier sweeps in a fixed order."""
 
-    extra = {"init": init, "order": order}
-    if not converged:
-        extra["remaining_frontier"] = active.count()
-    return make_result(
-        solver=name,
-        instance=instance,
-        assignment=assignment,
-        rounds=rounds,
-        converged=converged,
-        wall_seconds=clock.total(),
-        extra=extra,
-        stop_reason=runtime.stop_reason if runtime is not None else None,
-    )
+    def init(self, span) -> None:
+        self.assignment = self.initial_assignment()
+        self.sweep = dynamics.player_order(self.instance, self.order, self.rng)
+
+    def restore(self, state) -> None:
+        self.sweep = dynamics.checked_players(
+            state["sweep"], self.instance.n, "sweep"
+        )
+
+    def state(self):
+        return {"sweep": [int(p) for p in self.sweep]}
+
+    def step(self):
+        if self.reshuffle:
+            self.sweep = dynamics.player_order(
+                self.instance, self.order, self.rng
+            )
+        deviations, examined = _best_response_round(
+            self.instance, self.assignment, self.sweep, self.active
+        )
+        return deviations, examined, examined * self.instance.k
+
+    def extra(self):
+        return {"init": self.init_method, "order": self.order}
 
 
 def _best_response_round(
@@ -240,7 +171,3 @@ def _variant_name(init: str, order: str) -> str:
     if order == "degree":
         name += "+o"
     return name
-
-
-# Legacy entry point(s), consolidated in repro.compat (removal: 2.0).
-from repro.compat import solve_baseline  # noqa: E402

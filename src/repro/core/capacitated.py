@@ -4,8 +4,8 @@ The paper's related work points at LAGP "assuming that events have
 minimum and maximum participation constraints" (Section 2.1, [16]) and
 leaves the combination with the game-theoretic framework open.  This
 module adds both sides: *maximum* capacities inside the dynamics
-(:func:`solve_capacitated`) and *minimum* participation via the
-cancel-and-resolve loop of :func:`solve_with_minimums`.  The maximum
+(``solver="cap"``) and *minimum* participation via the
+cancel-and-resolve stages of ``solver="minpart"``.  The maximum
 side works as follows:
 
 * A class ``p`` with capacity ``cap_p`` can hold at most that many
@@ -26,19 +26,18 @@ and the equilibrium check below make the guarantee testable.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.core import dynamics
 from repro.core.instance import RMGPInstance
-from repro.core.objective import player_strategy_costs, potential
-from repro.core.result import PartitionResult, RoundStats, make_result
+from repro.core.objective import player_strategy_costs
+from repro.core.result import PartitionResult
 from repro.errors import ConfigurationError, DataError
 from repro.obs.recorder import Recorder, active_recorder
 from repro.runtime.budget import RuntimeBudget
-from repro.runtime.checkpoint import SolveCheckpoint, rounds_to_payload
-from repro.runtime.executor import SolveRuntime, load_resume
+from repro.runtime.executor import load_resume
 
 
 def validate_capacities(
@@ -103,8 +102,6 @@ def _solve_capacitated(
     checkpoint_every: Optional[int] = None,
     checkpoint_path: Optional[str] = None,
     resume_from=None,
-    _checkpoint_solver: str = "RMGP_cap",
-    _extra_state: Optional[dict] = None,
 ) -> PartitionResult:
     """Best-response dynamics under per-class maximum capacities.
 
@@ -113,129 +110,76 @@ def _solve_capacitated(
     a "clean" player's best response can change when someone else frees
     a seat in a class he wants.  ``players_examined == n`` is therefore
     the true per-round work, not an unexamined assumption.
-
-    ``_checkpoint_solver``/``_extra_state`` are internal hooks for
-    :func:`solve_with_minimums`, which labels the checkpoints of its
-    current stage as ``RMGP_minpart`` and rides its outer loop state
-    (canceled classes, stage counters) along in them.
     """
-    caps = validate_capacities(instance, capacities)
-    rec = active_recorder(recorder)
-    rng = random.Random(seed)
-    clock = dynamics.RoundClock()
+    return _CapacitatedLoop(
+        instance, validate_capacities(instance, capacities), init, order,
+        seed=seed, max_rounds=max_rounds, recorder=recorder, budget=budget,
+        checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_path,
+        resume_from=resume_from,
+    ).run()
 
-    runtime = SolveRuntime.create(
-        budget=budget,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-        recorder=rec,
-    )
-    restored = load_resume(resume_from, instance, _checkpoint_solver, rec)
-    with rec.span("solve", solver="RMGP_cap", n=instance.n, k=instance.k):
-        if restored is not None:
-            stored_caps = np.asarray(
-                restored.state["capacities"], dtype=np.int64
+
+class _CapacitatedLoop(dynamics.RoundLoop):
+    """Full-sweep rounds restricted to classes with a free seat."""
+
+    uses_frontier = False
+
+    def __init__(self, instance, caps, init, order, **loop_kwargs) -> None:
+        self.caps, self.init_method, self.order = caps, init, order
+        super().__init__("RMGP_cap", instance, **loop_kwargs)
+
+    def init(self, span) -> None:
+        self.assignment = feasible_initial_assignment(
+            self.instance, self.caps, self.rng, self.init_method
+        )
+        self.load = np.bincount(self.assignment, minlength=self.instance.k)
+        self.sweep = dynamics.player_order(self.instance, self.order, self.rng)
+
+    def restore(self, state) -> None:
+        stored_caps = np.asarray(state["capacities"], dtype=np.int64)
+        if not np.array_equal(stored_caps, self.caps):
+            raise DataError(
+                "checkpoint was taken under different capacities "
+                f"({stored_caps.tolist()} vs {self.caps.tolist()})"
             )
-            if not np.array_equal(stored_caps, caps):
-                raise DataError(
-                    "checkpoint was taken under different capacities "
-                    f"({stored_caps.tolist()} vs {caps.tolist()})"
-                )
-            assignment = restored.assignment
-            load = np.bincount(assignment, minlength=instance.k)
-            sweep = [int(p) for p in restored.state["sweep"]]
-            if restored.rng_state is not None:
-                rng.setstate(restored.rng_state)
-            rounds: List[RoundStats] = restored.restored_rounds()
-            round_index = restored.round_index
-        else:
-            with rec.span("round", round=0, phase="init"):
-                assignment = feasible_initial_assignment(
-                    instance, caps, rng, init
-                )
-                load = np.bincount(assignment, minlength=instance.k)
-                sweep = dynamics.player_order(instance, order, rng)
-            rounds = [RoundStats(0, 0, clock.lap())]
-            round_index = 0
+        self.sweep = dynamics.checked_players(
+            state["sweep"], self.instance.n, "sweep"
+        )
+        self.load = np.bincount(self.assignment, minlength=self.instance.k)
 
-        def make_checkpoint() -> SolveCheckpoint:
-            state = {
-                "sweep": [int(p) for p in sweep],
-                "capacities": caps.copy(),
-            }
-            if _extra_state:
-                state.update(_extra_state)
-            return SolveCheckpoint(
-                solver=_checkpoint_solver,
-                round_index=round_index,
-                assignment=assignment.copy(),
-                frontier=np.zeros(0, dtype=bool),
-                rng_state=rng.getstate(),
-                rounds=rounds_to_payload(rounds),
-                state=state,
-                fingerprint=SolveCheckpoint.fingerprint_of(instance),
-            )
+    def state(self):
+        return {
+            "sweep": [int(p) for p in self.sweep],
+            "capacities": self.caps.copy(),
+        }
 
+    def step(self):
+        instance, assignment, load, caps = (
+            self.instance, self.assignment, self.load, self.caps
+        )
         tol = dynamics.DEVIATION_TOLERANCE
-        converged = False
-        while not converged:
-            if runtime is not None and runtime.check(round_index + 1):
-                break
-            round_index += 1
-            dynamics.check_round_budget(round_index, max_rounds, "RMGP_cap")
-            deviations = 0
-            with rec.span("round", round=round_index) as round_span:
-                for player in sweep:
-                    costs = player_strategy_costs(
-                        instance, assignment, player
-                    )
-                    current = int(assignment[player])
-                    # Only classes with a free seat (or the current one)
-                    # are open.
-                    open_classes = (load < caps) | (
-                        np.arange(instance.k) == current
-                    )
-                    costs[~open_classes] = np.inf
-                    best = int(costs.argmin())
-                    if best != current and costs[best] < costs[current] - tol:
-                        assignment[player] = best
-                        load[current] -= 1
-                        load[best] += 1
-                        deviations += 1
-            rec.round_end(
-                round_span, "RMGP_cap", round_index,
-                deviations=deviations,
-                examined=instance.n,
-                cost_evaluations=instance.n * instance.k,
-                potential_fn=lambda: potential(instance, assignment),
-            )
-            rounds.append(
-                RoundStats(
-                    round_index=round_index,
-                    deviations=deviations,
-                    seconds=clock.lap(),
-                    players_examined=instance.n,
-                )
-            )
-            converged = deviations == 0
-            if runtime is not None and not converged:
-                runtime.note_round(round_index, make_checkpoint)
-        if runtime is not None:
-            runtime.finalize(make_checkpoint)
+        deviations = 0
+        for player in self.sweep:
+            costs = player_strategy_costs(instance, assignment, player)
+            current = int(assignment[player])
+            # Only classes with a free seat (or the current one) are open.
+            open_classes = (load < caps) | (np.arange(instance.k) == current)
+            costs[~open_classes] = np.inf
+            best = int(costs.argmin())
+            if best != current and costs[best] < costs[current] - tol:
+                assignment[player] = best
+                load[current] -= 1
+                load[best] += 1
+                deviations += 1
+        return deviations, instance.n, instance.n * instance.k
 
-    return make_result(
-        solver="RMGP_cap",
-        instance=instance,
-        assignment=assignment,
-        rounds=rounds,
-        converged=converged,
-        wall_seconds=clock.total(),
-        extra={
-            "capacities": caps.tolist(),
-            "loads": np.bincount(assignment, minlength=instance.k).tolist(),
-        },
-        stop_reason=runtime.stop_reason if runtime is not None else None,
-    )
+    def extra(self):
+        return {
+            "capacities": self.caps.tolist(),
+            "loads": np.bincount(
+                self.assignment, minlength=self.instance.k
+            ).tolist(),
+        }
 
 
 def _solve_with_minimums(
@@ -272,10 +216,11 @@ def _solve_with_minimums(
     final re-solve only.
 
     Real-time semantics: the ``budget`` spans the whole cancel-and-
-    resolve composition (each stage polls it at its round boundaries),
-    and checkpoints are written by the *current stage* with the outer
-    loop state riding along — resuming restarts mid-stage exactly where
-    the interrupt landed.
+    resolve composition (each stage polls it at its round boundaries).
+    Each stage is a capacitated :class:`~repro.core.dynamics.RoundLoop`
+    whose checkpoints are labeled ``RMGP_minpart`` and carry the stage
+    state (active classes, cancellations, rounds so far) — resuming
+    restarts mid-stage exactly where the interrupt landed.
     """
     if min_participants < 0:
         raise ConfigurationError("min_participants must be non-negative")
@@ -286,19 +231,26 @@ def _solve_with_minimums(
 
     rec = active_recorder(recorder)
     loop_clock = dynamics.RoundClock()
-    restored = load_resume(resume_from, instance, "RMGP_minpart", rec)
-    if restored is not None:
-        active = np.asarray(
-            restored.state["minpart_active"], dtype=bool
-        ).copy()
-        canceled = [int(klass) for klass in restored.state["minpart_canceled"]]
-        rounds_total = int(restored.state["minpart_rounds_total"])
+    stage_resume = load_resume(resume_from, instance, "RMGP_minpart", rec)
+    if stage_resume is not None:
+        state = stage_resume.state
+        try:
+            active = dynamics.checked_array(
+                state["minpart_active"], (instance.k,), bool, "minpart_active"
+            ).copy()
+            canceled = dynamics.checked_players(
+                state["minpart_canceled"], instance.k, "minpart_canceled",
+                count=len(state["minpart_canceled"]),
+            )
+            rounds_total = int(state["minpart_rounds_total"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(
+                f"malformed RMGP_minpart checkpoint state: {exc!r}"
+            ) from exc
     else:
         active = np.ones(instance.k, dtype=bool)
         canceled = []
         rounds_total = 0
-    stage_resume = restored
-    clock_rng_seed = seed
     with rec.span(
         "solve", solver="RMGP_minpart", n=instance.n, k=instance.k
     ):
@@ -310,42 +262,35 @@ def _solve_with_minimums(
                     "cancellations left too few seats for the players; "
                     "lower min_participants or raise capacities"
                 )
-            result = _solve_capacitated(
-                instance, effective, init=init, order=order,
-                seed=clock_rng_seed, recorder=rec,
-                budget=budget,
+            result = _CapacitatedLoop(
+                instance, effective, init, order,
+                seed=seed, recorder=rec, budget=budget,
                 checkpoint_every=checkpoint_every,
                 checkpoint_path=checkpoint_path,
                 resume_from=stage_resume,
-                _checkpoint_solver="RMGP_minpart",
-                _extra_state={
+                checkpoint_as="RMGP_minpart",
+                stage_state={
                     "minpart_active": active.copy(),
                     "minpart_canceled": list(canceled),
                     "minpart_rounds_total": rounds_total,
                 },
-            )
+            ).run()
             stage_resume = None
             rounds_total += result.num_rounds
-            if result.stop_reason in ("deadline", "cancelled"):
-                # Budget tripped mid-stage: degrade gracefully with the
-                # stage's current (valid, capacity-feasible) assignment.
-                result.extra["canceled"] = canceled
-                result.extra["rounds_total"] = rounds_total
-                result.solver = "RMGP_minpart"
-                result.wall_seconds = loop_clock.total()
-                return result
             loads = np.bincount(result.assignment, minlength=instance.k)
             under = [
                 klass
                 for klass in range(instance.k)
                 if active[klass] and 0 < loads[klass] < min_participants
             ]
-            if not under:
+            # A tripped budget degrades gracefully with the stage's
+            # current (valid, capacity-feasible) assignment.
+            if not under or result.stop_reason in ("deadline", "cancelled"):
                 result.extra["canceled"] = canceled
                 result.extra["rounds_total"] = rounds_total
                 result.solver = "RMGP_minpart"
-                # The per-solve timer only saw the final re-solve; the
-                # contract says wall_seconds covers the whole call.
+                # The stage timer only saw the final stage; the contract
+                # says wall_seconds covers the whole call.
                 result.wall_seconds = loop_clock.total()
                 return result
             # Cancel the weakest event first, as organizers would.
@@ -391,7 +336,3 @@ def is_capacitated_equilibrium(
         if costs.min() < costs[current] - tolerance:
             return False
     return True
-
-
-# Legacy entry point(s), consolidated in repro.compat (removal: 2.0).
-from repro.compat import solve_capacitated, solve_with_minimums  # noqa: E402

@@ -15,25 +15,21 @@ combination" (Section 4); RMGP_all applies all of them:
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core import dynamics
 from repro.core.global_table import happiness
-from repro.core.independent_sets import groups_from_coloring
+from repro.core.independent_sets import checked_groups, ordered_groups
 from repro.core.instance import RMGPInstance
-from repro.core.objective import potential
-from repro.core.result import PartitionResult, RoundStats, make_result
+from repro.core.result import PartitionResult
 from repro.core.strategy_elimination import (
     EliminationPlan,
     build_elimination_plan,
 )
-from repro.obs.recorder import Recorder, active_recorder
+from repro.obs.recorder import Recorder
 from repro.runtime.budget import RuntimeBudget
-from repro.runtime.checkpoint import SolveCheckpoint, rounds_to_payload
-from repro.runtime.executor import SolveRuntime, load_resume
 
 
 def build_pruned_table(
@@ -80,171 +76,110 @@ def _solve_all(
     ``+inf`` pruned entries survive the raw-buffer encoding unchanged.
     The elimination plan is deterministic and rebuilt on resume.
     """
-    rec = active_recorder(recorder)
-    rng = random.Random(seed)
-    clock = dynamics.RoundClock()
-
-    runtime = SolveRuntime.create(
-        budget=budget,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-        recorder=rec,
+    loop = _CombinedLoop(
+        "RMGP_all", instance,
+        seed=seed, max_rounds=max_rounds, recorder=recorder, budget=budget,
+        checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_path,
+        resume_from=resume_from,
     )
-    restored = load_resume(resume_from, instance, "RMGP_all", rec)
-    with rec.span("solve", solver="RMGP_all", n=instance.n, k=instance.k):
-        if restored is not None:
-            if plan is None:
-                plan = build_elimination_plan(instance)
-            fixed_mask = plan.fixed_class >= 0
-            assignment = restored.assignment
-            groups = [
-                [int(p) for p in group]
-                for group in restored.state["groups"]
-            ]
-            table = restored.state["table"]
-            happy = ~restored.frontier
-            if restored.rng_state is not None:
-                rng.setstate(restored.rng_state)
-            rounds: List[RoundStats] = restored.restored_rounds()
-            round_index = restored.round_index
-        else:
-            with rec.span("round", round=0, phase="init") as init_span:
-                if plan is None:
-                    with rec.span("build_plan"):
-                        plan = build_elimination_plan(instance)
-                assignment = dynamics.initial_assignment(
-                    instance, init, rng, warm_start
-                )
-                fixed_mask = plan.fixed_class >= 0
-                assignment[fixed_mask] = plan.fixed_class[fixed_mask]
+    loop.init_method, loop.order, loop.warm_start = init, order, warm_start
+    loop.coloring, loop.plan = coloring, plan
+    return loop.run()
 
-                groups = groups_from_coloring(instance, coloring)
-                rank = {
-                    p: i
-                    for i, p in enumerate(
-                        dynamics.player_order(instance, order, rng)
-                    )
-                }
-                groups = [
-                    sorted(
-                        (p for p in group if not fixed_mask[p]),
-                        key=rank.__getitem__,
-                    )
-                    for group in groups
-                ]
-                groups = [g for g in groups if g]
 
-                with rec.span("build_table"):
-                    table = build_pruned_table(instance, assignment, plan)
-                happy = happiness(table, assignment)
-                happy[fixed_mask] = True
-                if init_span is not None:
-                    init_span.attrs.update(
-                        num_groups=len(groups), num_fixed=plan.num_fixed,
-                        table_bytes=int(table.nbytes),
-                    )
-            rounds = [
-                RoundStats(round_index=0, deviations=0, seconds=clock.lap())
-            ]
-            round_index = 0
-        rec.gauge("solver.table_bytes", table.nbytes, solver="RMGP_all")
+class _CombinedLoop(dynamics.RoundLoop):
+    """Pruned-table rounds over the color groups' unhappy players."""
 
-        def make_checkpoint() -> SolveCheckpoint:
-            return SolveCheckpoint(
-                solver="RMGP_all",
-                round_index=round_index,
-                assignment=assignment.copy(),
-                frontier=(~happy).copy(),
-                rng_state=rng.getstate(),
-                rounds=rounds_to_payload(rounds),
-                state={
-                    "groups": [[int(p) for p in g] for g in groups],
-                    "table": table.copy(),
-                },
-                fingerprint=SolveCheckpoint.fingerprint_of(instance),
+    def init(self, span) -> None:
+        instance = self.instance
+        if self.plan is None:
+            with self.rec.span("build_plan"):
+                self.plan = build_elimination_plan(instance)
+        self.assignment = self.initial_assignment()
+        fixed_mask = self.fixed_mask = self.plan.fixed_class >= 0
+        self.assignment[fixed_mask] = self.plan.fixed_class[fixed_mask]
+        groups = ordered_groups(
+            instance, self.coloring,
+            dynamics.player_order(instance, self.order, self.rng),
+        )
+        groups = [[p for p in group if not fixed_mask[p]] for group in groups]
+        self.groups = [g for g in groups if g]
+        with self.rec.span("build_table"):
+            self.table = build_pruned_table(instance, self.assignment, self.plan)
+        # The frontier is the unhappy free players.
+        self.active.flags = ~happiness(self.table, self.assignment)
+        self.active.flags[fixed_mask] = False
+        if span is not None:
+            span.attrs.update(
+                num_groups=len(self.groups), num_fixed=self.plan.num_fixed,
+                table_bytes=int(self.table.nbytes),
             )
 
+    def restore(self, state) -> None:
+        n, k = self.instance.n, self.instance.k
+        if self.plan is None:
+            self.plan = build_elimination_plan(self.instance)
+        self.fixed_mask = self.plan.fixed_class >= 0
+        self.groups = checked_groups(
+            state["groups"], n, count=n - self.plan.num_fixed
+        )
+        self.table = dynamics.checked_array(
+            state["table"], (n, k), np.float64, "table"
+        )
+
+    def start(self) -> None:
+        super().start()
+        self.rec.gauge(
+            "solver.table_bytes", self.table.nbytes, solver=self.name
+        )
+
+    def state(self):
+        return {
+            "groups": [[int(p) for p in g] for g in self.groups],
+            "table": self.table.copy(),
+        }
+
+    def step(self):
+        instance, table, assignment = self.instance, self.table, self.assignment
+        dirty = self.active.flags
+        fixed_mask = self.fixed_mask
         half = (1.0 - instance.alpha) * 0.5
         tol = dynamics.DEVIATION_TOLERANCE
-        converged = False
-        while not converged:
-            if runtime is not None and runtime.check(round_index + 1):
-                break
-            round_index += 1
-            dynamics.check_round_budget(round_index, max_rounds, "RMGP_all")
-            deviations = 0
-            examined = 0
-            with rec.span("round", round=round_index) as round_span:
-                for group in groups:
-                    # Members are non-adjacent: their best responses are
-                    # mutually independent, so this sweep equals a
-                    # simultaneous update.
-                    for player in group:
-                        if happy[player]:
-                            continue
-                        examined += 1
-                        current = int(assignment[player])
-                        best = int(table[player].argmin())
-                        if table[player, best] >= table[player, current] - tol:
-                            happy[player] = True
-                            continue
-                        assignment[player] = best
-                        happy[player] = True
-                        deviations += 1
-                        idx = instance.neighbor_indices[player]
-                        wts = instance.neighbor_weights[player]
-                        for friend, weight in zip(idx, wts):
-                            delta = half * weight
-                            table[friend, best] -= delta
-                            table[friend, current] += delta
-                            if fixed_mask[friend]:
-                                continue
-                            friend_class = int(assignment[friend])
-                            happy[friend] = (
-                                table[friend, friend_class]
-                                <= table[friend].min() + tol
-                            )
-            rec.round_end(
-                round_span, "RMGP_all", round_index,
-                deviations=deviations,
-                examined=examined,
-                # Table-driven: one row argmin per examined player.
-                cost_evaluations=examined,
-                frontier_fn=lambda: int((~happy).sum()),
-                potential_fn=lambda: potential(instance, assignment),
-            )
-            rounds.append(
-                RoundStats(
-                    round_index=round_index,
-                    deviations=deviations,
-                    seconds=clock.lap(),
-                    players_examined=examined,
-                )
-            )
-            converged = deviations == 0
-            if runtime is not None and not converged:
-                runtime.note_round(round_index, make_checkpoint)
-        if runtime is not None:
-            runtime.finalize(make_checkpoint)
+        deviations = 0
+        examined = 0
+        for group in self.groups:
+            # Members are non-adjacent: their best responses are mutually
+            # independent, so this sweep equals a simultaneous update.
+            for player in group:
+                if not dirty[player]:
+                    continue
+                examined += 1
+                dirty[player] = False
+                current = int(assignment[player])
+                best = int(table[player].argmin())
+                if table[player, best] >= table[player, current] - tol:
+                    continue
+                assignment[player] = best
+                deviations += 1
+                idx = instance.neighbor_indices[player]
+                wts = instance.neighbor_weights[player]
+                for friend, weight in zip(idx, wts):
+                    delta = half * weight
+                    table[friend, best] -= delta
+                    table[friend, current] += delta
+                    if fixed_mask[friend]:
+                        continue
+                    friend_class = int(assignment[friend])
+                    dirty[friend] = not (
+                        table[friend, friend_class]
+                        <= table[friend].min() + tol
+                    )
+        # Table-driven: one row argmin per examined player.
+        return deviations, examined, examined
 
-    extra = {
-        "num_fixed": plan.num_fixed,
-        "num_groups": len(groups),
-        "strategies_remaining": plan.strategies_remaining(),
-    }
-    if not converged:
-        extra["remaining_frontier"] = int((~happy).sum())
-    return make_result(
-        solver="RMGP_all",
-        instance=instance,
-        assignment=assignment,
-        rounds=rounds,
-        converged=converged,
-        wall_seconds=clock.total(),
-        extra=extra,
-        stop_reason=runtime.stop_reason if runtime is not None else None,
-    )
-
-
-# Legacy entry point(s), consolidated in repro.compat (removal: 2.0).
-from repro.compat import solve_all  # noqa: E402
+    def extra(self):
+        return {
+            "num_fixed": self.plan.num_fixed,
+            "num_groups": len(self.groups),
+            "strategies_remaining": self.plan.strategies_remaining(),
+        }

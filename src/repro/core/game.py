@@ -18,14 +18,9 @@ import numpy as np
 from repro.core.costs import CostProvider
 from repro.core.equilibrium import EquilibriumReport, equilibrium_report
 from repro.core.instance import RMGPInstance
-from repro.core.normalization import (
-    NORMALIZATION_METHODS,
-    NormalizationEstimate,
-    normalize,
-)
+from repro.core.normalization import NormalizationEstimate, normalize
 from repro.core.registry import SOLVERS  # noqa: F401  (public re-export)
 from repro.core.result import PartitionResult
-from repro.errors import ConfigurationError
 from repro.graph.social_graph import SocialGraph
 
 
@@ -72,27 +67,22 @@ class RMGPGame:
         solver_kwargs:
             Forwarded to the variant (``init=``, ``order=``, ``seed=``,
             ``threads=``, ``warm_start=``, ``recorder=``, ...).
+
+        A thin wrapper over :func:`repro.partition`, which (like
+        :func:`~repro.core.normalization.normalize`) raises
+        :class:`ConfigurationError` for an unknown name.
         """
         # Imported lazily: repro.api imports this module's sibling
         # registry, and importing it at module scope would be circular
         # through repro.core's package __init__.
         from repro.api import partition
 
-        if method not in SOLVERS:
-            raise ConfigurationError(
-                f"unknown method {method!r}; expected one of {sorted(SOLVERS)}"
-            )
         instance = self.instance
         self.normalization = None
         if normalize_method is not None:
-            if normalize_method not in NORMALIZATION_METHODS:
-                raise ConfigurationError(
-                    f"unknown normalization {normalize_method!r}; expected "
-                    f"one of {NORMALIZATION_METHODS} or None"
-                )
             instance, self.normalization = normalize(instance, normalize_method)
         result = partition(instance, solver=method, **solver_kwargs)
-        if self.normalization is not None and normalize_method is not None:
+        if self.normalization is not None:
             result.extra["normalization"] = self.normalization
         return result
 

@@ -18,20 +18,16 @@ what :mod:`repro.core.combined` does.
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.core import dynamics
 from repro.core.instance import RMGPInstance
-from repro.core.objective import potential
-from repro.core.result import PartitionResult, RoundStats, make_result
-from repro.obs.recorder import Recorder, active_recorder
-from repro.parallel.engine import LocalEngine, ShmEngine, make_engine
+from repro.core.result import PartitionResult
+from repro.obs.recorder import Recorder
+from repro.parallel.engine import LocalEngine, ShmEngine
 from repro.runtime.budget import RuntimeBudget
-from repro.runtime.checkpoint import SolveCheckpoint, rounds_to_payload
-from repro.runtime.executor import SolveRuntime, load_resume
 
 
 def build_global_table(
@@ -72,7 +68,7 @@ def table_round(
 ) -> Tuple[int, int]:
     """One frontier round of table-driven best responses (Figure 5 lines 6-15).
 
-    Shared by :func:`solve_global_table` and
+    Shared by the RMGP_gt solver and
     :class:`repro.core.incremental.IncrementalRMGP` — both maintain the
     same state (table + frontier) and must replay the same schedule.
     Returns ``(deviations, players_examined)``.
@@ -137,164 +133,80 @@ def _solve_global_table(
     ``numba`` backend jits the sweep loop instead.  Either way the
     trajectory is byte-identical to the pure path.
     """
-    rec = active_recorder(recorder)
-    rng = random.Random(seed)
-    clock = dynamics.RoundClock()
-
-    runtime = SolveRuntime.create(
-        budget=budget,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-        recorder=rec,
+    loop = _GlobalTableLoop(
+        "RMGP_gt", instance,
+        seed=seed, max_rounds=max_rounds, recorder=recorder, budget=budget,
+        checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_path,
+        resume_from=resume_from,
     )
-    restored = load_resume(resume_from, instance, "RMGP_gt", rec)
-    engine = None
-    backend_info = {}
-    if backend is not None or workers is not None:
-        engine, backend_info = make_engine(
-            instance,
-            backend=backend,
-            workers=workers,
-            recorder=rec,
-            with_table=True,
-            tol=dynamics.DEVIATION_TOLERANCE,
-        )
-    try:
-        return _run_global_table(
-            instance, init, order, rng, warm_start, max_rounds, rec,
-            runtime, restored, engine, backend_info, clock,
-        )
-    finally:
-        if engine is not None:
-            engine.shutdown()
+    loop.init_method, loop.order, loop.warm_start = init, order, warm_start
+    loop.attach_engine(backend, workers, with_table=True)
+    return loop.run()
 
 
-def _run_global_table(
-    instance: RMGPInstance,
-    init: str,
-    order: str,
-    rng: random.Random,
-    warm_start: Optional[np.ndarray],
-    max_rounds: int,
-    rec: Recorder,
-    runtime,
-    restored,
-    engine,
-    backend_info: dict,
-    clock: dynamics.RoundClock,
-) -> PartitionResult:
-    sweep_engine = engine if isinstance(engine, LocalEngine) else None
-    with rec.span("solve", solver="RMGP_gt", n=instance.n, k=instance.k):
-        if restored is not None:
-            assignment = restored.assignment
-            sweep = [int(p) for p in restored.state["sweep"]]
-            table = restored.state["table"]
-            active = dynamics.ActiveSet(instance.n, dirty=restored.frontier)
-            if restored.rng_state is not None:
-                rng.setstate(restored.rng_state)
-            rounds: List[RoundStats] = restored.restored_rounds()
-            round_index = restored.round_index
+class _GlobalTableLoop(dynamics.RoundLoop):
+    """Figure 5: table-driven frontier rounds."""
+
+    def init(self, span) -> None:
+        instance = self.instance
+        self.assignment = self.initial_assignment()
+        self.sweep = dynamics.player_order(instance, self.order, self.rng)
+        with self.rec.span("build_table"):
+            if isinstance(self.engine, ShmEngine):
+                self.table = self.engine.build_table(self.assignment)
+                # The sweep is inherently serial; release the workers
+                # (and the segment) right away.
+                self.engine.shutdown()
+            else:
+                self.table = build_global_table(instance, self.assignment)
+        # Initially dirty = not provably happy, matching Figure 5's first
+        # pass.
+        self.active = dynamics.ActiveSet(
+            instance.n, dirty=~happiness(self.table, self.assignment)
+        )
+        if span is not None:
+            span.attrs["table_bytes"] = int(self.table.nbytes)
+
+    def restore(self, state) -> None:
+        n, k = self.instance.n, self.instance.k
+        self.sweep = dynamics.checked_players(state["sweep"], n, "sweep")
+        self.table = dynamics.checked_array(
+            state["table"], (n, k), np.float64, "table"
+        )
+
+    def start(self) -> None:
+        super().start()
+        self.rec.gauge(
+            "solver.table_bytes", self.table.nbytes, solver=self.name
+        )
+        self.sweep_engine = (
+            self.engine if isinstance(self.engine, LocalEngine) else None
+        )
+        if self.sweep_engine is not None:
+            self.sweep_array = np.asarray(self.sweep, dtype=np.int64)
+
+    def state(self):
+        return {
+            "sweep": [int(p) for p in self.sweep],
+            "table": self.table.copy(),
+        }
+
+    def step(self):
+        if self.sweep_engine is not None:
+            deviations, examined = self.sweep_engine.table_sweep(
+                self.table, self.assignment, self.active.flags,
+                self.sweep_array,
+            )
         else:
-            with rec.span("round", round=0, phase="init") as init_span:
-                assignment = dynamics.initial_assignment(
-                    instance, init, rng, warm_start
-                )
-                sweep = dynamics.player_order(instance, order, rng)
-                with rec.span("build_table"):
-                    if isinstance(engine, ShmEngine):
-                        table = engine.build_table(assignment)
-                        # The sweep is inherently serial; release the
-                        # workers (and the segment) right away.
-                        engine.shutdown()
-                    else:
-                        table = build_global_table(instance, assignment)
-                # Initially dirty = not provably happy, matching Figure 5's
-                # first pass.
-                active = dynamics.ActiveSet(
-                    instance.n, dirty=~happiness(table, assignment)
-                )
-                if init_span is not None:
-                    init_span.attrs["table_bytes"] = int(table.nbytes)
-            rounds = [
-                RoundStats(round_index=0, deviations=0, seconds=clock.lap())
-            ]
-            round_index = 0
-        rec.gauge("solver.table_bytes", table.nbytes, solver="RMGP_gt")
-
-        def make_checkpoint() -> SolveCheckpoint:
-            return SolveCheckpoint(
-                solver="RMGP_gt",
-                round_index=round_index,
-                assignment=assignment.copy(),
-                frontier=active.flags.copy(),
-                rng_state=rng.getstate(),
-                rounds=rounds_to_payload(rounds),
-                state={
-                    "sweep": [int(p) for p in sweep],
-                    "table": table.copy(),
-                },
-                fingerprint=SolveCheckpoint.fingerprint_of(instance),
+            deviations, examined = table_round(
+                self.instance, self.table, self.assignment, self.active,
+                self.sweep,
             )
+        # A table lookup replaces the k-way Eq. 3 scan: one row argmin per
+        # examined player.
+        return deviations, examined, examined
 
-        sweep_array = (
-            np.asarray(sweep, dtype=np.int64)
-            if sweep_engine is not None
-            else None
-        )
-        converged = False
-        while not converged:
-            if runtime is not None and runtime.check(round_index + 1):
-                break
-            round_index += 1
-            dynamics.check_round_budget(round_index, max_rounds, "RMGP_gt")
-            with rec.span("round", round=round_index) as round_span:
-                if sweep_engine is not None:
-                    deviations, examined = sweep_engine.table_sweep(
-                        table, assignment, active.flags, sweep_array
-                    )
-                else:
-                    deviations, examined = table_round(
-                        instance, table, assignment, active, sweep
-                    )
-            rec.round_end(
-                round_span, "RMGP_gt", round_index,
-                deviations=deviations,
-                examined=examined,
-                # A table lookup replaces the k-way Eq. 3 scan: one row
-                # argmin per examined player.
-                cost_evaluations=examined,
-                frontier_fn=active.count,
-                potential_fn=lambda: potential(instance, assignment),
-            )
-            rounds.append(
-                RoundStats(
-                    round_index=round_index,
-                    deviations=deviations,
-                    seconds=clock.lap(),
-                    players_examined=examined,
-                )
-            )
-            converged = deviations == 0
-            if runtime is not None and not converged:
-                runtime.note_round(round_index, make_checkpoint)
-        if runtime is not None:
-            runtime.finalize(make_checkpoint)
-
-    extra = {"table_bytes": table.nbytes}
-    extra.update(backend_info)
-    if not converged:
-        extra["remaining_frontier"] = active.count()
-    return make_result(
-        solver="RMGP_gt",
-        instance=instance,
-        assignment=assignment,
-        rounds=rounds,
-        converged=converged,
-        wall_seconds=clock.total(),
-        extra=extra,
-        stop_reason=runtime.stop_reason if runtime is not None else None,
-    )
-
-
-# Legacy entry point(s), consolidated in repro.compat (removal: 2.0).
-from repro.compat import solve_global_table  # noqa: E402
+    def extra(self):
+        extra = {"table_bytes": self.table.nbytes}
+        extra.update(self.backend_info)
+        return extra

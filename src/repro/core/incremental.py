@@ -64,7 +64,7 @@ unpenalized game re-enter the frontier (so the engine invariant
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,13 +73,13 @@ from repro.core.costs import MatrixCost
 from repro.core.global_table import build_global_table, happiness, table_round
 from repro.core.instance import RMGPInstance
 from repro.core.objective import objective
-from repro.core.result import PartitionResult, RoundStats, make_result
-from repro.errors import ConfigurationError, GraphError
+from repro.core.result import PartitionResult, RoundStats
+from repro.errors import ConfigurationError, DataError, GraphError
 from repro.graph.social_graph import NodeId
 from repro.obs.recorder import Recorder, active_recorder
 from repro.runtime.budget import RuntimeBudget
 from repro.runtime.checkpoint import SolveCheckpoint
-from repro.runtime.executor import SolveRuntime, load_resume
+from repro.runtime.executor import load_resume
 
 
 class IncrementalRMGP:
@@ -408,35 +408,14 @@ class IncrementalRMGP:
             raise ConfigurationError(
                 f"movement_penalty must be finite and >= 0, got {penalty}"
             )
-        runtime = SolveRuntime.create(
-            budget=budget,
-            checkpoint_every=checkpoint_every,
+        loop = _ResolveLoop(
+            self, penalty, max_rounds=max_rounds, recorder=rec,
+            budget=budget, checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
-            recorder=rec,
         )
-        clock = dynamics.RoundClock()
-        rounds: List[RoundStats] = [RoundStats(0, 0, clock.lap())]
-        # Sweep in player order over the dirty frontier — the exact
-        # RMGP_gt schedule (same table_round), so a fresh engine
-        # reproduces solve_global_table(order="given") step for step.
-        sweep = range(self.instance.n)
-        round_index = 0
-        baseline = self.assignment.copy()
+        baseline = loop.baseline
         rows = np.arange(self.instance.n)
         initial_placement = self.resolve_count == 0
-
-        def make_checkpoint() -> SolveCheckpoint:
-            checkpoint = self.to_checkpoint()
-            if penalty > 0.0:
-                # Strip the in-flight penalty and re-widen the frontier
-                # so the restored engine sees the real game.
-                table = checkpoint.state["table"]
-                table[rows, baseline] += penalty
-                checkpoint.frontier |= ~happiness(
-                    table, checkpoint.assignment
-                )
-            return checkpoint
-
         if penalty > 0.0:
             # Staying put becomes `penalty` cheaper — a constant shift
             # of each player's own column, so the exact-potential
@@ -452,40 +431,7 @@ class IncrementalRMGP:
                     resolve_span.attrs["initial_frontier"] = (
                         self._active.count()
                     )
-                while self._active.any_dirty():
-                    if runtime is not None and runtime.check(round_index + 1):
-                        break
-                    round_index += 1
-                    dynamics.check_round_budget(
-                        round_index, max_rounds, "IncrementalRMGP"
-                    )
-                    with rec.span("round", round=round_index) as round_span:
-                        deviations, examined = table_round(
-                            self.instance, self._table, self.assignment,
-                            self._active, sweep,
-                        )
-                    rec.round_end(
-                        round_span, "RMGP_incremental", round_index,
-                        deviations=deviations,
-                        examined=examined,
-                        cost_evaluations=examined,
-                        frontier_fn=self._active.count,
-                    )
-                    rounds.append(
-                        RoundStats(
-                            round_index=round_index,
-                            deviations=deviations,
-                            seconds=clock.lap(),
-                            players_examined=examined,
-                        )
-                    )
-                    if deviations == 0:
-                        break
-                    if runtime is not None:
-                        runtime.note_round(round_index, make_checkpoint)
-            converged = not self._active.any_dirty()
-            if runtime is not None:
-                runtime.finalize(make_checkpoint)
+                loop.drive()
         finally:
             if penalty > 0.0:
                 self._table[rows, baseline] += penalty
@@ -514,18 +460,7 @@ class IncrementalRMGP:
             rec.observe("churn.migration_cost", migration_cost)
         if penalty > 0.0:
             extra["movement_penalty"] = penalty
-        if not converged:
-            extra["remaining_frontier"] = self._active.count()
-        return make_result(
-            solver="RMGP_incremental",
-            instance=self.instance,
-            assignment=self.assignment,
-            rounds=rounds,
-            converged=converged,
-            wall_seconds=clock.total(),
-            extra=extra,
-            stop_reason=runtime.stop_reason if runtime is not None else None,
-        )
+        return loop.result(extra)
 
     def current_value(self):
         """Equation 1 breakdown of the current assignment."""
@@ -584,17 +519,31 @@ class IncrementalRMGP:
                                recorder)
         if restored is None:
             raise ConfigurationError("from_checkpoint() requires a checkpoint")
+        n, k = instance.n, instance.k
+        state = restored.state
+        try:
+            matrix = dynamics.checked_array(
+                state["cost_matrix"], (n, k), np.float64, "cost_matrix"
+            ).copy()
+            table = dynamics.checked_array(
+                state["table"], (n, k), np.float64, "table"
+            ).copy()
+            frontier = dynamics.checked_array(
+                restored.frontier, (n,), bool, "frontier"
+            )
+            resolve_count = int(state["resolve_count"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(
+                f"malformed RMGP_incremental checkpoint: {exc!r}"
+            ) from exc
         engine = cls.__new__(cls)
         engine._recorder = recorder
-        matrix = np.array(restored.state["cost_matrix"], dtype=np.float64)
         engine.instance = instance.with_cost(MatrixCost(matrix))
         engine._matrix = engine.instance.cost._matrix  # type: ignore[attr-defined]
         engine.assignment = restored.assignment.copy()
-        engine._table = np.array(restored.state["table"], dtype=np.float64)
-        engine._active = dynamics.ActiveSet(
-            engine.instance.n, dirty=restored.frontier.copy()
-        )
-        engine.resolve_count = int(restored.state["resolve_count"])
+        engine._table = table
+        engine._active = dynamics.ActiveSet(n, dirty=frontier)
+        engine.resolve_count = resolve_count
         engine.moved_total = 0
         engine.migration_cost_total = 0.0
         engine._batch_depth = 0
@@ -629,6 +578,50 @@ class IncrementalRMGP:
             self._table[me] += sign * half
             self._table[me, int(self.assignment[other])] -= sign * half
         self._active.mark([iu, iv])
+
+
+class _ResolveLoop(dynamics.RoundLoop):
+    """One :meth:`IncrementalRMGP.resolve` drain on the shared driver.
+
+    The engine's live table and frontier are the loop state; rounds
+    sweep in player order over the dirty frontier — the exact RMGP_gt
+    schedule (same :func:`table_round`), so a fresh engine reproduces
+    ``partition(instance, solver="gt", order="given")`` step for step.
+    A quiet frontier needs no round at all.
+    """
+
+    potential_telemetry = False
+
+    def __init__(self, engine: IncrementalRMGP, penalty: float, **kwargs):
+        super().__init__("RMGP_incremental", engine.instance, **kwargs)
+        self.engine_state = engine
+        self.penalty = penalty
+        self.assignment = engine.assignment
+        self.active = engine._active
+        self.table = engine._table
+        self.sweep = range(engine.instance.n)
+        self.baseline = engine.assignment.copy()
+        self.rounds = [RoundStats(0, 0, self.clock.lap())]
+
+    def quiet(self) -> bool:
+        return not self.active.any_dirty()
+
+    def step(self):
+        deviations, examined = table_round(
+            self.instance, self.table, self.assignment, self.active,
+            self.sweep,
+        )
+        return deviations, examined, examined
+
+    def checkpoint(self) -> SolveCheckpoint:
+        checkpoint = self.engine_state.to_checkpoint()
+        if self.penalty > 0.0:
+            # Strip the in-flight penalty and re-widen the frontier so
+            # the restored engine sees the real game.
+            table = checkpoint.state["table"]
+            table[np.arange(self.instance.n), self.baseline] += self.penalty
+            checkpoint.frontier |= ~happiness(table, checkpoint.assignment)
+        return checkpoint
 
 
 def _solve_incremental(

@@ -17,7 +17,6 @@ both numbers.
 from __future__ import annotations
 
 import math
-import random
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
@@ -25,15 +24,12 @@ import numpy as np
 
 from repro.core import dynamics
 from repro.core.instance import RMGPInstance
-from repro.core.objective import player_strategy_costs, potential
-from repro.core.result import PartitionResult, RoundStats, make_result
+from repro.core.objective import player_strategy_costs
+from repro.core.result import PartitionResult
 from repro.errors import ConfigurationError
 from repro.graph.coloring import color_groups, greedy_coloring, is_proper_coloring
-from repro.obs.recorder import Recorder, active_recorder
-from repro.parallel.engine import make_engine
+from repro.obs.recorder import Recorder
 from repro.runtime.budget import RuntimeBudget
-from repro.runtime.checkpoint import SolveCheckpoint, rounds_to_payload
-from repro.runtime.executor import SolveRuntime, load_resume
 
 
 def groups_from_coloring(
@@ -107,158 +103,102 @@ def _solve_independent_sets(
             "backend=/workers=/exact_scale=; use workers= for real "
             "parallelism"
         )
-    rec = active_recorder(recorder)
-    rng = random.Random(seed)
-    clock = dynamics.RoundClock()
-
-    runtime = SolveRuntime.create(
-        budget=budget,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-        recorder=rec,
+    loop = _IndependentSetsLoop(
+        "RMGP_is", instance,
+        seed=seed, max_rounds=max_rounds, recorder=recorder, budget=budget,
+        checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_path,
+        resume_from=resume_from,
     )
-    restored = load_resume(resume_from, instance, "RMGP_is", rec)
-    with rec.span(
-        "solve", solver="RMGP_is", n=instance.n, k=instance.k, threads=threads
-    ):
-        if restored is not None:
-            # The coloring is checkpointed (a caller-supplied coloring or
-            # greedy tie-breaks need not be rebuilt identically).
-            groups = [
-                [int(p) for p in group]
-                for group in restored.state["groups"]
-            ]
-            assignment = restored.assignment
-            if restored.rng_state is not None:
-                rng.setstate(restored.rng_state)
-            rounds: List[RoundStats] = restored.restored_rounds()
-            round_index = restored.round_index
-        else:
-            with rec.span("round", round=0, phase="init") as init_span:
-                groups = groups_from_coloring(instance, coloring)
-                # Within each group keep the requested ordering
-                # (degree/random).
-                rank = {
-                    p: i
-                    for i, p in enumerate(
-                        dynamics.player_order(instance, order, rng)
-                    )
-                }
-                groups = [
-                    sorted(group, key=rank.__getitem__) for group in groups
-                ]
-                assignment = dynamics.initial_assignment(
-                    instance, init, rng, warm_start
-                )
-                if init_span is not None:
-                    init_span.attrs["num_groups"] = len(groups)
-            rounds = [
-                RoundStats(round_index=0, deviations=0, seconds=clock.lap())
-            ]
-            round_index = 0
+    loop.order, loop.warm_start = order, warm_start
+    loop.init_method, loop.coloring, loop.threads = init, coloring, threads
+    loop.attach_engine(backend, workers, exact_scale)
+    loop.executor = (
+        ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    )
+    return loop.run(threads=threads)
 
-        executor = (
-            ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+
+def ordered_groups(
+    instance: RMGPInstance, coloring: Optional[Dict], sweep: List[int]
+) -> List[List[int]]:
+    """Color groups with each group's members kept in ``sweep`` order."""
+    rank = {p: i for i, p in enumerate(sweep)}
+    return [
+        sorted(group, key=rank.__getitem__)
+        for group in groups_from_coloring(instance, coloring)
+    ]
+
+
+class _IndependentSetsLoop(dynamics.RoundLoop):
+    """Figure 4: rounds sweep the color groups' frontiers."""
+
+    def init(self, span) -> None:
+        # Within each group keep the requested ordering (degree/random).
+        self.groups = ordered_groups(
+            self.instance, self.coloring,
+            dynamics.player_order(self.instance, self.order, self.rng),
         )
-        engine = None
-        if wants_engine:
-            engine, backend_info = make_engine(
-                instance,
-                backend=backend,
-                workers=workers,
-                recorder=rec,
-                exact_scale=exact_scale,
-                tol=dynamics.DEVIATION_TOLERANCE,
+        self.assignment = self.initial_assignment()
+        if span is not None:
+            span.attrs["num_groups"] = len(self.groups)
+
+    def restore(self, state) -> None:
+        # The coloring is checkpointed (a caller-supplied coloring or
+        # greedy tie-breaks need not be rebuilt identically).
+        self.groups = checked_groups(state["groups"], self.instance.n)
+
+    def state(self):
+        return {"groups": [[int(p) for p in g] for g in self.groups]}
+
+    def step(self):
+        deviations = 0
+        examined = 0
+        flags = self.active.flags
+        for group in self.groups:
+            # Only the dirty members of the group can possibly move;
+            # clean members' best responses are provably unchanged.
+            pending = [p for p in group if flags[p]]
+            if not pending:
+                continue
+            examined += len(pending)
+            self.active.clear(pending)
+            deviations += _process_group(
+                self.instance, self.assignment, pending, self.executor,
+                self.threads, self.active, self.engine,
             )
-        if restored is not None:
-            active = dynamics.ActiveSet(instance.n, dirty=restored.frontier)
-        else:
-            active = dynamics.ActiveSet(instance.n)
+        return deviations, examined, examined * self.instance.k
 
-        def make_checkpoint() -> SolveCheckpoint:
-            return SolveCheckpoint(
-                solver="RMGP_is",
-                round_index=round_index,
-                assignment=assignment.copy(),
-                frontier=active.flags.copy(),
-                rng_state=rng.getstate(),
-                rounds=rounds_to_payload(rounds),
-                state={"groups": [[int(p) for p in g] for g in groups]},
-                fingerprint=SolveCheckpoint.fingerprint_of(instance),
-            )
+    def close(self) -> None:
+        if self.executor is not None:
+            self.executor.shutdown(wait=True)
+        super().close()
 
-        try:
-            converged = False
-            while not converged:
-                if runtime is not None and runtime.check(round_index + 1):
-                    break
-                round_index += 1
-                dynamics.check_round_budget(round_index, max_rounds, "RMGP_is")
-                deviations = 0
-                examined = 0
-                with rec.span("round", round=round_index) as round_span:
-                    for group in groups:
-                        # Only the dirty members of the group can possibly
-                        # move; clean members' best responses are provably
-                        # unchanged.
-                        pending = [p for p in group if active.flags[p]]
-                        if not pending:
-                            continue
-                        examined += len(pending)
-                        active.clear(pending)
-                        deviations += _process_group(
-                            instance, assignment, pending, executor, threads,
-                            active, engine,
-                        )
-                rec.round_end(
-                    round_span, "RMGP_is", round_index,
-                    deviations=deviations,
-                    examined=examined,
-                    cost_evaluations=examined * instance.k,
-                    frontier_fn=active.count,
-                    potential_fn=lambda: potential(instance, assignment),
-                )
-                rounds.append(
-                    RoundStats(
-                        round_index=round_index,
-                        deviations=deviations,
-                        seconds=clock.lap(),
-                        players_examined=examined,
-                    )
-                )
-                converged = deviations == 0
-                if runtime is not None and not converged:
-                    runtime.note_round(round_index, make_checkpoint)
-            if runtime is not None:
-                runtime.finalize(make_checkpoint)
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
-            if engine is not None:
-                engine.shutdown()
+    def extra(self):
+        n = self.instance.n
+        critical_path = sum(
+            math.ceil(len(g) / self.threads) for g in self.groups
+        )
+        extra = {
+            "num_groups": len(self.groups),
+            "threads": self.threads,
+            "model_players_per_round": critical_path,
+            "sequential_players_per_round": n,
+            "model_speedup": (n / critical_path) if critical_path else 1.0,
+        }
+        extra.update(self.backend_info)
+        return extra
 
-    critical_path = sum(math.ceil(len(g) / threads) for g in groups)
-    extra = {
-        "num_groups": len(groups),
-        "threads": threads,
-        "model_players_per_round": critical_path,
-        "sequential_players_per_round": instance.n,
-        "model_speedup": (instance.n / critical_path) if critical_path else 1.0,
-    }
-    if wants_engine:
-        extra.update(backend_info)
-    if not converged:
-        extra["remaining_frontier"] = active.count()
-    return make_result(
-        solver="RMGP_is",
-        instance=instance,
-        assignment=assignment,
-        rounds=rounds,
-        converged=converged,
-        wall_seconds=clock.total(),
-        extra=extra,
-        stop_reason=runtime.stop_reason if runtime is not None else None,
+
+def checked_groups(
+    groups, n: int, count: Optional[int] = None
+) -> List[List[int]]:
+    """Checkpointed color groups, refused unless they partition the
+    players (``count`` of them; default all ``n``)."""
+    groups = [[int(p) for p in group] for group in groups]
+    dynamics.checked_players(
+        [p for group in groups for p in group], n, "groups", count
     )
+    return groups
 
 
 def _process_group(
@@ -333,7 +273,3 @@ def _best_class(instance: RMGPInstance, assignment: np.ndarray, player: int) -> 
     if costs[best] < costs[current] - dynamics.DEVIATION_TOLERANCE:
         return best
     return current
-
-
-# Legacy entry point(s), consolidated in repro.compat (removal: 2.0).
-from repro.compat import solve_independent_sets  # noqa: E402

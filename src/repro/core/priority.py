@@ -17,20 +17,21 @@ replacement for them.
 from __future__ import annotations
 
 import heapq
-import random
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core import dynamics
 from repro.core.global_table import build_global_table
 from repro.core.instance import RMGPInstance
-from repro.core.result import PartitionResult, RoundStats, make_result
-from repro.errors import ConvergenceError
-from repro.obs.recorder import Recorder, active_recorder
+from repro.core.result import PartitionResult
+from repro.errors import ConvergenceError, DataError
+from repro.obs.recorder import Recorder
 from repro.runtime.budget import RuntimeBudget
-from repro.runtime.checkpoint import SolveCheckpoint, rounds_to_payload
-from repro.runtime.executor import SolveRuntime, load_resume
+
+#: Moves per reported round: best-improvement dynamics have no natural
+#: round, so the trace (and the budget/checkpoint boundary) is a batch.
+BATCH_MOVES = 1000
 
 
 def _solve_max_gain(
@@ -63,125 +64,98 @@ def _solve_max_gain(
     serialize the table and the heap list verbatim (entry order is the
     binary-heap layout), so a resume pops in the exact same sequence.
     """
-    rec = active_recorder(recorder)
-    rng = random.Random(seed)
-    clock = dynamics.RoundClock()
-
-    runtime = SolveRuntime.create(
-        budget=budget,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-        recorder=rec,
+    loop = _MaxGainLoop(
+        "RMGP_mg", instance,
+        seed=seed, max_rounds=None, recorder=recorder, budget=budget,
+        checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_path,
+        resume_from=resume_from,
     )
-    restored = load_resume(resume_from, instance, "RMGP_mg", rec)
-    with rec.span("solve", solver="RMGP_mg", n=instance.n, k=instance.k):
-        if max_moves is None:
-            max_moves = max(1000, instance.n * instance.k * 1000)
+    if max_moves is None:
+        max_moves = max(1000, instance.n * instance.k * 1000)
+    loop.init_method, loop.warm_start = init, warm_start
+    loop.max_moves = max_moves
+    return loop.run()
+
+
+class _MaxGainLoop(dynamics.RoundLoop):
+    """Best-improvement dynamics: one loop round per batch of moves.
+
+    The heap replaces the frontier (checkpointed verbatim — entry order
+    is the binary-heap layout, so a resume pops in the same sequence);
+    the solve converges when the heap runs dry.
+    """
+
+    uses_frontier = False
+    potential_telemetry = False
+    round_spans = False
+
+    def init(self, span) -> None:
+        instance = self.instance
+        self.assignment = self.initial_assignment()
+        with self.rec.span("build_table"):
+            self.table = build_global_table(instance, self.assignment)
+        # Max-heap entries: (-gain, player).  Lazy invalidation: an entry
+        # is acted on only if its gain still matches the player's current
+        # gain.
+        self.heap = []
+        for player in range(instance.n):
+            gain = self.gain_of(player)
+            if gain > dynamics.DEVIATION_TOLERANCE:
+                heapq.heappush(self.heap, (-gain, player))
+        self.moves = 0
+        # The heap build evaluates every player's gain once.
+        self.init_examined = instance.n
+
+    def restore(self, state) -> None:
+        n, k = self.instance.n, self.instance.k
+        self.table = dynamics.checked_array(
+            state["table"], (n, k), np.float64, "table"
+        )
+        players = np.asarray(state["heap_players"], dtype=np.int64)
+        keys = dynamics.checked_array(
+            state["heap_keys"], players.shape, np.float64, "heap_keys"
+        )
+        if players.size and (players.min() < 0 or players.max() >= n):
+            raise DataError(f"checkpoint heap players must lie in range({n})")
+        self.heap = [
+            (float(key), int(player)) for key, player in zip(keys, players)
+        ]
+        self.moves = int(state["moves"])
+
+    def state(self):
+        heap = self.heap
+        return {
+            "table": self.table.copy(),
+            "heap_keys": np.array(
+                [entry[0] for entry in heap], dtype=np.float64
+            ),
+            "heap_players": np.array(
+                [entry[1] for entry in heap], dtype=np.int64
+            ),
+            "moves": self.moves,
+        }
+
+    def gain_of(self, player: int) -> float:
+        row = self.table[player]
+        return float(row[self.assignment[player]] - row.min())
+
+    def frontier(self) -> int:
+        return len(self.heap)
+
+    def done(self, deviations: int) -> bool:
+        return not self.heap
+
+    def step(self):
+        """Pop and move until a batch is full or the heap runs dry."""
+        instance, table, assignment = self.instance, self.table, self.assignment
+        heap, gain_of = self.heap, self.gain_of
         tol = dynamics.DEVIATION_TOLERANCE
         half = (1.0 - instance.alpha) * 0.5
-
-        if restored is not None:
-            assignment = restored.assignment
-            table = restored.state["table"]
-
-            def gain_of(player: int) -> float:
-                row = table[player]
-                return float(row[assignment[player]] - row.min())
-
-            heap: List[tuple] = [
-                (float(key), int(player))
-                for key, player in zip(
-                    restored.state["heap_keys"],
-                    restored.state["heap_players"],
-                )
-            ]
-            moves = int(restored.state["moves"])
-            if restored.rng_state is not None:
-                rng.setstate(restored.rng_state)
-            rounds: List[RoundStats] = restored.restored_rounds()
-        else:
-            with rec.span("round", round=0, phase="init"):
-                assignment = dynamics.initial_assignment(
-                    instance, init, rng, warm_start
-                )
-                with rec.span("build_table"):
-                    table = build_global_table(instance, assignment)
-
-                def gain_of(player: int) -> float:
-                    row = table[player]
-                    return float(row[assignment[player]] - row.min())
-
-                # Max-heap entries: (-gain, player).  Lazy invalidation:
-                # an entry is acted on only if its gain still matches the
-                # player's current gain.
-                heap = []
-                for player in range(instance.n):
-                    gain = gain_of(player)
-                    if gain > tol:
-                        heapq.heappush(heap, (-gain, player))
-
-            rounds = [
-                RoundStats(0, 0, clock.lap(), players_examined=instance.n)
-            ]
-            moves = 0
         batch_moves = 0
-        batch_examined = 0
-
-        def make_checkpoint() -> SolveCheckpoint:
-            return SolveCheckpoint(
-                solver="RMGP_mg",
-                round_index=len(rounds) - 1,
-                assignment=assignment.copy(),
-                frontier=np.zeros(0, dtype=bool),
-                rng_state=rng.getstate(),
-                rounds=rounds_to_payload(rounds),
-                state={
-                    "table": table.copy(),
-                    "heap_keys": np.array(
-                        [entry[0] for entry in heap], dtype=np.float64
-                    ),
-                    "heap_players": np.array(
-                        [entry[1] for entry in heap], dtype=np.int64
-                    ),
-                    "moves": moves,
-                },
-                fingerprint=SolveCheckpoint.fingerprint_of(instance),
-            )
-
-        def flush_batch() -> None:
-            nonlocal batch_moves, batch_examined
-            rec.round_end(
-                None, "RMGP_mg", len(rounds),
-                deviations=batch_moves,
-                examined=batch_examined,
-                cost_evaluations=batch_examined,
-                frontier_fn=lambda: len(heap),
-            )
-            rounds.append(
-                RoundStats(
-                    round_index=len(rounds),
-                    deviations=batch_moves,
-                    seconds=clock.lap(),
-                    players_examined=batch_examined,
-                )
-            )
-            batch_moves = 0
-            batch_examined = 0
-
-        interrupted = False
-        while heap:
-            # One budget check per batch boundary (both counters reset
-            # only at a flush), never per heap pop.
-            if (
-                runtime is not None
-                and batch_moves == 0
-                and batch_examined == 0
-                and runtime.check(len(rounds))
-            ):
-                interrupted = True
-                break
+        examined = 0
+        while heap and batch_moves < BATCH_MOVES:
             negative_gain, player = heapq.heappop(heap)
-            batch_examined += 1
+            examined += 1
             current_gain = gain_of(player)
             if current_gain <= tol:
                 continue
@@ -191,10 +165,12 @@ def _solve_max_gain(
             current = int(assignment[player])
             best = int(table[player].argmin())
             assignment[player] = best
-            moves += 1
+            self.moves += 1
             batch_moves += 1
-            if moves > max_moves:
-                raise ConvergenceError(f"RMGP_mg exceeded {max_moves} moves")
+            if self.moves > self.max_moves:
+                raise ConvergenceError(
+                    f"RMGP_mg exceeded {self.max_moves} moves"
+                )
             idx = instance.neighbor_indices[player]
             wts = instance.neighbor_weights[player]
             for friend, weight in zip(idx, wts):
@@ -204,31 +180,7 @@ def _solve_max_gain(
                 friend_gain = gain_of(int(friend))
                 if friend_gain > tol:
                     heapq.heappush(heap, (-friend_gain, int(friend)))
-            if batch_moves >= 1000:
-                flush_batch()
-                if runtime is not None:
-                    runtime.note_round(len(rounds) - 1, make_checkpoint)
-        if not interrupted and (
-            batch_moves or batch_examined or len(rounds) == 1
-        ):
-            flush_batch()
-        if runtime is not None:
-            runtime.finalize(make_checkpoint)
+        return batch_moves, examined, examined
 
-    extra = {"total_moves": moves}
-    if interrupted:
-        extra["remaining_frontier"] = len(heap)
-    return make_result(
-        solver="RMGP_mg",
-        instance=instance,
-        assignment=assignment,
-        rounds=rounds,
-        converged=not interrupted,
-        wall_seconds=clock.total(),
-        extra=extra,
-        stop_reason=runtime.stop_reason if runtime is not None else None,
-    )
-
-
-# Legacy entry point(s), consolidated in repro.compat (removal: 2.0).
-from repro.compat import solve_max_gain  # noqa: E402
+    def extra(self):
+        return {"total_moves": self.moves}

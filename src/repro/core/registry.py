@@ -3,9 +3,8 @@
 One place maps every public solver name (short and long) to its
 implementation function; :func:`repro.api.partition` and
 :meth:`repro.core.game.RMGPGame.solve` both dispatch through it.  The
-values are the *implementation* functions (``_solve_*``), not the
-deprecated ``solve_*`` shims, so routing through the registry never
-triggers a :class:`DeprecationWarning`.
+values are the *implementation* functions (``_solve_*``); their keyword
+parameters are the public per-solver options (``accepted_parameters``).
 
 Kept separate from :mod:`repro.core.game` so solver modules and the API
 facade can import it without pulling in the whole facade.

@@ -42,9 +42,8 @@ class PartitionResult:
     """Outcome of one RMGP solve — the shared contract of every solver.
 
     Every solve entry point in this package (``partition()`` with any
-    registry name, ``RMGPGame.solve``, the distributed game, and the
-    deprecated ``solve_*`` shims) returns this type with **identical
-    field semantics**:
+    registry name, ``RMGPGame.solve`` and the distributed game) returns
+    this type with **identical field semantics**:
 
     Attributes
     ----------
@@ -63,7 +62,7 @@ class PartitionResult:
         carry ``players_examined`` — the number of best responses
         actually computed that round (frontier size for frontier
         solvers, heap pops for max-gain, ``n`` only where a full sweep
-        is semantically required).  For :func:`solve_with_minimums` the
+        is semantically required).  For ``solver="minpart"`` the
         trace covers the final re-solve; ``extra["rounds_total"]`` sums
         every re-solve.
     converged:

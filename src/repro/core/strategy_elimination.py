@@ -17,7 +17,6 @@ guarantees carry over unchanged.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -25,12 +24,9 @@ import numpy as np
 
 from repro.core import dynamics
 from repro.core.instance import RMGPInstance
-from repro.core.objective import potential
-from repro.core.result import PartitionResult, RoundStats, make_result
-from repro.obs.recorder import Recorder, active_recorder
+from repro.core.result import PartitionResult
+from repro.obs.recorder import Recorder
 from repro.runtime.budget import RuntimeBudget
-from repro.runtime.checkpoint import SolveCheckpoint, rounds_to_payload
-from repro.runtime.executor import SolveRuntime, load_resume
 
 
 @dataclass
@@ -106,123 +102,73 @@ def _solve_strategy_elimination(
     the plan — it is a pure, deterministic function of the instance and
     is rebuilt on resume.
     """
-    rec = active_recorder(recorder)
-    rng = random.Random(seed)
-    clock = dynamics.RoundClock()
-
-    runtime = SolveRuntime.create(
-        budget=budget,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-        recorder=rec,
+    loop = _EliminationLoop(
+        "RMGP_se", instance,
+        seed=seed, max_rounds=max_rounds, recorder=recorder, budget=budget,
+        checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_path,
+        resume_from=resume_from,
     )
-    restored = load_resume(resume_from, instance, "RMGP_se", rec)
-    with rec.span("solve", solver="RMGP_se", n=instance.n, k=instance.k):
-        if restored is not None:
-            if plan is None:
-                plan = build_elimination_plan(instance)
-            fixed_mask = plan.fixed_class >= 0
-            assignment = restored.assignment
-            sweep = [int(p) for p in restored.state["sweep"]]
-            active = dynamics.ActiveSet(instance.n, dirty=restored.frontier)
-            if restored.rng_state is not None:
-                rng.setstate(restored.rng_state)
-            rounds: List[RoundStats] = restored.restored_rounds()
-            round_index = restored.round_index
-        else:
-            with rec.span("round", round=0, phase="init") as init_span:
-                if plan is None:
-                    with rec.span("build_plan"):
-                        plan = build_elimination_plan(instance)
-                assignment = dynamics.initial_assignment(
-                    instance, init, rng, warm_start
-                )
-                # Fixed players are assigned immediately and leave the game.
-                fixed_mask = plan.fixed_class >= 0
-                assignment[fixed_mask] = plan.fixed_class[fixed_mask]
-                sweep = [
-                    p
-                    for p in dynamics.player_order(instance, order, rng)
-                    if not fixed_mask[p]
-                ]
-                # Frontier scheduling over the free players only: fixed
-                # players never move, so they never need re-examination, and
-                # a mover's clean neighbors are re-marked exactly as in
-                # RMGP_b — the move sequence is identical to the full sweep.
-                active = dynamics.ActiveSet(instance.n)
-                active.flags[fixed_mask] = False
-                if init_span is not None:
-                    init_span.attrs["num_fixed"] = plan.num_fixed
-            rounds = [
-                RoundStats(round_index=0, deviations=0, seconds=clock.lap())
-            ]
-            round_index = 0
+    loop.init_method, loop.order, loop.warm_start = init, order, warm_start
+    loop.plan = plan
+    return loop.run()
 
-        def make_checkpoint() -> SolveCheckpoint:
-            return SolveCheckpoint(
-                solver="RMGP_se",
-                round_index=round_index,
-                assignment=assignment.copy(),
-                frontier=active.flags.copy(),
-                rng_state=rng.getstate(),
-                rounds=rounds_to_payload(rounds),
-                state={"sweep": [int(p) for p in sweep]},
-                fingerprint=SolveCheckpoint.fingerprint_of(instance),
-            )
 
-        converged = False
-        while not converged:
-            if runtime is not None and runtime.check(round_index + 1):
-                break
-            round_index += 1
-            dynamics.check_round_budget(round_index, max_rounds, "RMGP_se")
-            with rec.span("round", round=round_index) as round_span:
-                deviations, examined = _reduced_round(
-                    instance, assignment, sweep, plan, active, fixed_mask
-                )
-            rec.round_end(
-                round_span, "RMGP_se", round_index,
-                deviations=deviations,
-                examined=examined,
-                # Only the reduced strategy spaces are scanned (Eq. 3 on
-                # |S'_v| classes, amortized as the mean reduced size).
-                cost_evaluations=(
-                    examined * plan.strategies_remaining() // max(instance.n, 1)
-                ),
-                frontier_fn=active.count,
-                potential_fn=lambda: potential(instance, assignment),
-            )
-            rounds.append(
-                RoundStats(
-                    round_index=round_index,
-                    deviations=deviations,
-                    seconds=clock.lap(),
-                    players_examined=examined,
-                )
-            )
-            converged = deviations == 0
-            if runtime is not None and not converged:
-                runtime.note_round(round_index, make_checkpoint)
-        if runtime is not None:
-            runtime.finalize(make_checkpoint)
+class _EliminationLoop(dynamics.RoundLoop):
+    """Figure 3 dynamics over the reduced strategy spaces ``S'_v``."""
 
-    extra = {
-        "num_fixed": plan.num_fixed,
-        "strategies_remaining": plan.strategies_remaining(),
-        "strategies_total": instance.n * instance.k,
-    }
-    if not converged:
-        extra["remaining_frontier"] = active.count()
-    return make_result(
-        solver="RMGP_se",
-        instance=instance,
-        assignment=assignment,
-        rounds=rounds,
-        converged=converged,
-        wall_seconds=clock.total(),
-        extra=extra,
-        stop_reason=runtime.stop_reason if runtime is not None else None,
-    )
+    def init(self, span) -> None:
+        instance = self.instance
+        if self.plan is None:
+            with self.rec.span("build_plan"):
+                self.plan = build_elimination_plan(instance)
+        self.assignment = self.initial_assignment()
+        # Fixed players are assigned immediately and leave the game.
+        fixed_mask = self.fixed_mask = self.plan.fixed_class >= 0
+        self.assignment[fixed_mask] = self.plan.fixed_class[fixed_mask]
+        self.sweep = [
+            p
+            for p in dynamics.player_order(instance, self.order, self.rng)
+            if not fixed_mask[p]
+        ]
+        # Frontier scheduling over the free players only: fixed players
+        # never move, so they never need re-examination, and a mover's
+        # clean neighbors are re-marked exactly as in RMGP_b — the move
+        # sequence is identical to the full sweep.
+        self.active.flags[fixed_mask] = False
+        if span is not None:
+            span.attrs["num_fixed"] = self.plan.num_fixed
+
+    def restore(self, state) -> None:
+        if self.plan is None:
+            self.plan = build_elimination_plan(self.instance)
+        self.fixed_mask = self.plan.fixed_class >= 0
+        self.sweep = dynamics.checked_players(
+            state["sweep"], self.instance.n, "sweep",
+            count=self.instance.n - self.plan.num_fixed,
+        )
+
+    def state(self):
+        return {"sweep": [int(p) for p in self.sweep]}
+
+    def step(self):
+        plan = self.plan
+        deviations, examined = _reduced_round(
+            self.instance, self.assignment, self.sweep, plan, self.active,
+            self.fixed_mask,
+        )
+        # Only the reduced strategy spaces are scanned (Eq. 3 on |S'_v|
+        # classes, amortized as the mean reduced size).
+        evaluations = (
+            examined * plan.strategies_remaining() // max(self.instance.n, 1)
+        )
+        return deviations, examined, evaluations
+
+    def extra(self):
+        return {
+            "num_fixed": self.plan.num_fixed,
+            "strategies_remaining": self.plan.strategies_remaining(),
+            "strategies_total": self.instance.n * self.instance.k,
+        }
 
 
 def _reduced_round(
@@ -270,7 +216,3 @@ def _reduced_round(
                 # Mark free neighbors dirty; fixed ones stay clean.
                 flags[idx] = ~fixed_mask[idx]
     return deviations, examined
-
-
-# Legacy entry point(s), consolidated in repro.compat (removal: 2.0).
-from repro.compat import solve_strategy_elimination  # noqa: E402

@@ -25,22 +25,17 @@ benchmark suite compares it against the scalar solvers.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core import dynamics
-from repro.core.independent_sets import groups_from_coloring
+from repro.core.independent_sets import checked_groups, groups_from_coloring
 from repro.core.instance import RMGPInstance, concat_ranges
-from repro.core.objective import potential
-from repro.core.result import PartitionResult, RoundStats, make_result
-from repro.obs.recorder import Recorder, active_recorder
-from repro.parallel.engine import make_engine
+from repro.core.result import PartitionResult
+from repro.obs.recorder import Recorder
 from repro.runtime.budget import RuntimeBudget
-from repro.runtime.checkpoint import SolveCheckpoint, rounds_to_payload
-from repro.runtime.executor import SolveRuntime, load_resume
 
 
 @dataclass
@@ -205,7 +200,7 @@ def _solve_vectorized(
 ) -> PartitionResult:
     """Run the vectorized group-batched dynamics.
 
-    Parameters mirror :func:`repro.core.independent_sets.solve_independent_sets`;
+    Parameters mirror the RMGP_is solver's;
     player ordering inside a group is irrelevant (the batch is committed
     atomically), so there is no ``order`` knob.  Checkpoints store only
     the groups: batch arrays and per-round costs are pure functions of
@@ -215,161 +210,59 @@ def _solve_vectorized(
     (byte-identical assignments; see :mod:`repro.parallel`) and
     ``exact_scale`` switches the scatter to Lemma 2 integer fixed point.
     """
-    rec = active_recorder(recorder)
-    wants_engine = (
-        backend is not None or workers is not None or exact_scale is not None
+    loop = _VectorizedLoop(
+        "RMGP_vec", instance,
+        seed=seed, max_rounds=max_rounds, recorder=recorder, budget=budget,
+        checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_path,
+        resume_from=resume_from,
     )
-    rng = random.Random(seed)
-    clock = dynamics.RoundClock()
-
-    restored = load_resume(resume_from, instance, "RMGP_vec", rec)
-    engine = None
-    backend_info: Dict = {}
-    if wants_engine:
-        engine, backend_info = make_engine(
-            instance,
-            backend=backend,
-            workers=workers,
-            recorder=rec,
-            exact_scale=exact_scale,
-            tol=dynamics.DEVIATION_TOLERANCE,
-        )
-    try:
-        return _run_vectorized(
-            instance, init, rng, warm_start, max_rounds, coloring, rec,
-            restored, engine, backend_info, clock,
-            budget=budget,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
-        )
-    finally:
-        if engine is not None:
-            engine.shutdown()
+    loop.init_method, loop.warm_start, loop.coloring = init, warm_start, coloring
+    loop.attach_engine(backend, workers, exact_scale)
+    return loop.run()
 
 
-def _run_vectorized(
-    instance: RMGPInstance,
-    init: str,
-    rng: random.Random,
-    warm_start: Optional[np.ndarray],
-    max_rounds: int,
-    coloring: Optional[Dict],
-    rec: Recorder,
-    restored,
-    engine,
-    backend_info: Dict,
-    clock: dynamics.RoundClock,
-    budget: Optional[RuntimeBudget] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
-) -> PartitionResult:
-    runtime = SolveRuntime.create(
-        budget=budget,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-        recorder=rec,
-    )
-    with rec.span("solve", solver="RMGP_vec", n=instance.n, k=instance.k):
-        if restored is not None:
-            groups = [
-                [int(p) for p in group]
-                for group in restored.state["groups"]
-            ]
-            assignment = restored.assignment
-            batches = _make_batches(instance, groups, engine)
-            active = dynamics.ActiveSet(instance.n, dirty=restored.frontier)
-            if restored.rng_state is not None:
-                rng.setstate(restored.rng_state)
-            rounds: List[RoundStats] = restored.restored_rounds()
-            round_index = restored.round_index
-        else:
-            with rec.span("round", round=0, phase="init") as init_span:
-                groups = groups_from_coloring(instance, coloring)
-                assignment = dynamics.initial_assignment(
-                    instance, init, rng, warm_start
-                )
-                with rec.span("build_batches"):
-                    batches = _make_batches(instance, groups, engine)
-                active = dynamics.ActiveSet(instance.n)
-                if init_span is not None:
-                    init_span.attrs["num_groups"] = len(groups)
-            rounds = [RoundStats(0, 0, clock.lap())]
-            round_index = 0
+class _VectorizedLoop(dynamics.RoundLoop):
+    """Group-batched frontier rounds (pure numpy or a parallel engine)."""
 
-        def make_checkpoint() -> SolveCheckpoint:
-            return SolveCheckpoint(
-                solver="RMGP_vec",
-                round_index=round_index,
-                assignment=assignment.copy(),
-                frontier=active.flags.copy(),
-                rng_state=rng.getstate(),
-                rounds=rounds_to_payload(rounds),
-                state={"groups": [[int(p) for p in g] for g in groups]},
-                fingerprint=SolveCheckpoint.fingerprint_of(instance),
-            )
+    def init(self, span) -> None:
+        self.groups = groups_from_coloring(self.instance, self.coloring)
+        self.assignment = self.initial_assignment()
+        with self.rec.span("build_batches"):
+            self.batches = _make_batches(self.instance, self.groups, self.engine)
+        if span is not None:
+            span.attrs["num_groups"] = len(self.groups)
 
+    def restore(self, state) -> None:
+        self.groups = checked_groups(state["groups"], self.instance.n)
+        self.batches = _make_batches(self.instance, self.groups, self.engine)
+
+    def state(self):
+        return {"groups": [[int(p) for p in g] for g in self.groups]}
+
+    def step(self):
+        instance, assignment, active = self.instance, self.assignment, self.active
+        engine = self.engine
         tol = dynamics.DEVIATION_TOLERANCE
-        converged = False
-        while not converged:
-            if runtime is not None and runtime.check(round_index + 1):
-                break
-            round_index += 1
-            dynamics.check_round_budget(round_index, max_rounds, "RMGP_vec")
-            deviations = 0
-            examined = 0
-            with rec.span("round", round=round_index) as round_span:
-                for batch in batches:
-                    if engine is not None:
-                        if batch.size == 0:
-                            continue
-                        moved, seen = _engine_frontier_round(
-                            instance, batch, assignment, active, engine
-                        )
-                    else:
-                        if batch.members.size == 0:
-                            continue
-                        moved, seen = _batch_frontier_round(
-                            instance, batch, assignment, active, tol
-                        )
-                    deviations += moved
-                    examined += seen
-            rec.round_end(
-                round_span, "RMGP_vec", round_index,
-                deviations=deviations,
-                examined=examined,
-                cost_evaluations=examined * instance.k,
-                frontier_fn=active.count,
-                potential_fn=lambda: potential(instance, assignment),
-            )
-            rounds.append(
-                RoundStats(
-                    round_index=round_index,
-                    deviations=deviations,
-                    seconds=clock.lap(),
-                    players_examined=examined,
+        deviations = 0
+        examined = 0
+        for batch in self.batches:
+            if engine is not None:
+                if batch.size == 0:
+                    continue
+                moved, seen = _engine_frontier_round(
+                    instance, batch, assignment, active, engine
                 )
-            )
-            converged = deviations == 0
-            if runtime is not None and not converged:
-                runtime.note_round(round_index, make_checkpoint)
-        if runtime is not None:
-            runtime.finalize(make_checkpoint)
+            else:
+                if batch.members.size == 0:
+                    continue
+                moved, seen = _batch_frontier_round(
+                    instance, batch, assignment, active, tol
+                )
+            deviations += moved
+            examined += seen
+        return deviations, examined, examined * instance.k
 
-    extra = {"num_groups": len(groups)}
-    extra.update(backend_info)
-    if not converged:
-        extra["remaining_frontier"] = active.count()
-    return make_result(
-        solver="RMGP_vec",
-        instance=instance,
-        assignment=assignment,
-        rounds=rounds,
-        converged=converged,
-        wall_seconds=clock.total(),
-        extra=extra,
-        stop_reason=runtime.stop_reason if runtime is not None else None,
-    )
-
-
-# Legacy entry point(s), consolidated in repro.compat (removal: 2.0).
-from repro.compat import solve_vectorized  # noqa: E402
+    def extra(self):
+        extra = {"num_groups": len(self.groups)}
+        extra.update(self.backend_info)
+        return extra

@@ -17,8 +17,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
+from repro.api import partition
 from repro.apps.spatial import Point, distance_matrix
-from repro.core.combined import _solve_all as solve_all
 from repro.core.instance import RMGPInstance
 from repro.core.normalization import normalize
 from repro.core.result import PartitionResult
@@ -104,11 +104,11 @@ def run_fae(
     if query.normalize is not None:
         instance, estimate = normalize(instance, query.normalize)
         cn = estimate.cn
-    partition = solve_all(instance, init=query.init, seed=seed)
+    result = partition(instance, solver="all", init=query.init, seed=seed)
     execution_seconds = time.perf_counter() - start
 
     return FaEResult(
-        partition=partition,
+        partition=result,
         transfer_seconds=transfer_seconds,
         execution_seconds=execution_seconds,
         transfer_bytes=transfer_bytes,

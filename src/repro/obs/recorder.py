@@ -16,7 +16,7 @@ and the per-round solver telemetry of :meth:`Recorder.round_end`
 Opt-in is a context manager::
 
     with recording() as rec:          # ambient for everything inside
-        solve_global_table(instance)
+        partition(instance, solver="gt")
     print(summary_tree(rec))
 
 or explicit (``SolveOptions(recorder=rec)`` / ``recorder=rec`` kwargs);

@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.core.result import RoundStats
-from repro.errors import DataError
+from repro.errors import ConfigurationError, DataError
 
 #: Version of the checkpoint payload layout (independent of the result
 #: file format in :mod:`repro.core.serialize`).
@@ -204,7 +204,10 @@ class SolveCheckpoint:
                 f"checkpoint fingerprint {self.fingerprint} does not match "
                 f"the instance ({expected})"
             )
-        instance.validate_assignment(self.assignment)
+        try:
+            instance.validate_assignment(self.assignment)
+        except ConfigurationError as exc:
+            raise DataError(f"checkpoint assignment: {exc}") from exc
 
     def restored_rounds(self) -> List[RoundStats]:
         """The completed round trace as :class:`RoundStats` objects."""

@@ -1,32 +1,20 @@
-"""The per-solve runtime driver the kernels thread through their loops.
+"""The per-solve runtime driver behind every solver's round loop.
 
 :class:`SolveRuntime` bundles the three real-time concerns — budget
 checks, periodic checkpoint writes, and observability — behind two calls
 per round boundary, and :func:`SolveRuntime.create` returns ``None``
-when no real-time option is set, so the default path costs the kernels a
-single ``if runtime is not None`` per round (pinned by the perf gates).
+when no real-time option is set, so the default path costs the round
+loop a single ``if runtime is not None`` per round (pinned by the perf
+gates).
 
-The kernel integration pattern::
-
-    runtime = SolveRuntime.create(
-        budget=budget, checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path, recorder=rec,
-    )
-    checkpoint = load_resume(resume_from, instance, solver_name, rec)
-    ...restore assignment/frontier/RNG/state from ``checkpoint``...
-    while not converged:
-        if runtime is not None and runtime.check(round_index + 1):
-            break                      # anytime: keep the current assignment
-        ...run one round...
-        if runtime is not None:
-            runtime.note_round(round_index, make_checkpoint)
-    if runtime is not None:
-        runtime.finalize(make_checkpoint)
-
-where ``make_checkpoint`` is a zero-argument closure building the
-solver's :class:`~repro.runtime.checkpoint.SolveCheckpoint`.  It is only
-invoked when a write is actually due, so uninterrupted solves without
-``checkpoint_every`` never pay for snapshot construction.
+The one caller is :class:`repro.core.dynamics.RoundLoop`: it calls
+:meth:`SolveRuntime.check` before every round (anytime: a trip keeps the
+current assignment), :meth:`SolveRuntime.note_round` after every
+unconverged round and :meth:`SolveRuntime.finalize` after the last,
+passing its ``checkpoint`` method as the zero-argument snapshot builder.
+The builder is only invoked when a write is actually due, so
+uninterrupted solves without ``checkpoint_every`` never pay for snapshot
+construction.
 """
 
 from __future__ import annotations
@@ -42,9 +30,9 @@ from repro.runtime.checkpoint import SolveCheckpoint
 class SolveRuntime:
     """Budget + checkpoint driver for one solve (or one composite solve).
 
-    Created once per kernel invocation via :meth:`create`; ``minpart``
-    passes one instance through all of its cancel-and-resolve stages so
-    the deadline spans the whole composition.
+    Created once per round loop via :meth:`create`; ``minpart`` hands
+    one budget to all of its cancel-and-resolve stages so the deadline
+    spans the whole composition.
     """
 
     @classmethod

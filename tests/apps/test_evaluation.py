@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from repro import partition
 from repro.apps.evaluation import (
     attendance_gini,
     distance_percentiles,
     satisfaction_report,
     user_satisfaction,
 )
-from repro.core import RMGPInstance, solve_baseline
+from repro.core import RMGPInstance
 from repro.errors import ConfigurationError
 from repro.graph import SocialGraph
 
@@ -76,7 +77,7 @@ class TestPercentiles:
 class TestReport:
     def test_equilibrium_report_consistency(self):
         instance = random_instance(seed=0)
-        result = solve_baseline(instance, seed=0)
+        result = partition(instance, solver="b", seed=0)
         report = satisfaction_report(instance, result.assignment)
         assert report.mean_detour_ratio >= 1.0
         assert 0 <= report.users_at_cheapest <= instance.n
@@ -86,7 +87,7 @@ class TestReport:
 
     def test_closest_init_everyone_at_cheapest(self):
         instance = random_instance(edge_probability=0.0, seed=2)
-        result = solve_baseline(instance, init="closest", order="given")
+        result = partition(instance, solver="b", init="closest", order="given")
         report = satisfaction_report(instance, result.assignment)
         assert report.users_at_cheapest == instance.n
         assert report.mean_detour_ratio == pytest.approx(1.0)

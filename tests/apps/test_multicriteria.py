@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from repro import partition
 from repro.apps import (
     Criterion,
     combine_criteria,
     criterion_breakdown,
     min_max_rescaled,
 )
-from repro.core import MatrixCost, RMGPInstance, solve_baseline
+from repro.core import MatrixCost, RMGPInstance
 from repro.errors import ConfigurationError
 from repro.graph import SocialGraph
 
@@ -106,5 +107,5 @@ class TestGameIntegration:
             [Criterion("d", distance), Criterion("p", preference)]
         )
         instance = RMGPInstance(graph, ["a", "b"], cost, alpha=0.5)
-        result = solve_baseline(instance, init="closest", order="given")
+        result = partition(instance, solver="b", init="closest", order="given")
         assert result.converged

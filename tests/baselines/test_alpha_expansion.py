@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import partition
 from repro.baselines import lp_lower_bound, optimal_value
 from repro.baselines.alpha_expansion import _expansion_move, solve_alpha_expansion
-from repro.core import objective, solve_baseline
+from repro.core import objective
 
 from tests.core.conftest import random_instance, tiny_instance
 
@@ -71,7 +72,7 @@ class TestSolver:
     def test_quality_competitive_with_game(self):
         instance = tiny_instance(seed=5)
         expansion = solve_alpha_expansion(instance, seed=0)
-        game = solve_baseline(instance, init="closest", order="given")
+        game = partition(instance, solver="b", init="closest", order="given")
         # Expansion moves are strictly stronger than single-player moves,
         # so from the same landscape it should be at least comparable.
         assert expansion.value.total <= 1.2 * game.value.total + 1e-9

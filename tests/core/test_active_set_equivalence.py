@@ -19,14 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import partition
 from repro.core import dynamics
-from repro.core.baseline import solve_baseline
 from repro.core.equilibrium import equilibrium_report
-from repro.core.global_table import solve_global_table
-from repro.core.independent_sets import solve_independent_sets
 from repro.core.normalization import normalize
 from repro.core.objective import player_strategy_costs, potential
-from repro.core.vectorized import solve_vectorized
 from repro.datasets.paper_example import paper_example_instance
 from repro.graph import greedy_coloring
 
@@ -74,7 +71,9 @@ class TestBaselineMatchesFullSweep:
         expected, expected_rounds = _full_sweep_baseline(
             instance, init=init, order=order, seed=11
         )
-        result = solve_baseline(instance, init=init, order=order, seed=11)
+        result = partition(
+            instance, solver="b", init=init, order=order, seed=11
+        )
         assert result.assignment.tobytes() == expected.tobytes()
         assert result.num_rounds == expected_rounds
         assert potential(instance, result.assignment) == potential(
@@ -90,8 +89,8 @@ class TestBaselineMatchesFullSweep:
             seed=9,
             reshuffle_each_round=True,
         )
-        result = solve_baseline(
-            instance,
+        result = partition(
+            instance, solver="b",
             init="random",
             order="random",
             seed=9,
@@ -102,13 +101,15 @@ class TestBaselineMatchesFullSweep:
 
     def test_warm_start(self):
         instance = random_instance(num_players=30, seed=2)
-        start = solve_baseline(instance, init="random", seed=1).assignment
+        start = partition(instance, solver="b", init="random", seed=1).assignment
         perturbed = start.copy()
         perturbed[::5] = (perturbed[::5] + 1) % instance.k
         expected, _ = _full_sweep_baseline(
             instance, order="given", warm_start=perturbed
         )
-        result = solve_baseline(instance, order="given", warm_start=perturbed)
+        result = partition(
+            instance, solver="b", order="given", warm_start=perturbed
+        )
         assert result.assignment.tobytes() == expected.tobytes()
 
     def test_normalized_scaled_cost_path(self):
@@ -118,8 +119,8 @@ class TestBaselineMatchesFullSweep:
         expected, expected_rounds = _full_sweep_baseline(
             instance, init="closest", order="degree", seed=0
         )
-        result = solve_baseline(
-            instance, init="closest", order="degree", seed=0
+        result = partition(
+            instance, solver="b", init="closest", order="degree", seed=0
         )
         assert result.assignment.tobytes() == expected.tobytes()
         assert result.num_rounds == expected_rounds
@@ -132,8 +133,8 @@ class TestCrossSolverAgreement:
         expected, expected_rounds = _full_sweep_baseline(
             instance, init="closest", order="given", seed=0
         )
-        result = solve_global_table(
-            instance, init="closest", order="given", seed=0
+        result = partition(
+            instance, solver="gt", init="closest", order="given", seed=0
         )
         assert result.assignment.tobytes() == expected.tobytes()
         assert result.num_rounds == expected_rounds
@@ -142,11 +143,12 @@ class TestCrossSolverAgreement:
     def test_vectorized_matches_independent_sets(self, alpha):
         instance = random_instance(num_players=40, alpha=alpha, seed=7)
         coloring = greedy_coloring(instance.graph)
-        scalar = solve_independent_sets(
-            instance, init="closest", order="given", seed=0, coloring=coloring
+        scalar = partition(
+            instance, solver="is", init="closest", order="given", seed=0,
+            coloring=coloring,
         )
-        batched = solve_vectorized(
-            instance, init="closest", seed=0, coloring=coloring
+        batched = partition(
+            instance, solver="vec", init="closest", seed=0, coloring=coloring
         )
         assert batched.assignment.tobytes() == scalar.assignment.tobytes()
         assert batched.num_rounds == scalar.num_rounds
@@ -165,24 +167,26 @@ class TestFrontierProperties:
             num_players=25, num_classes=3, alpha=alpha, seed=seed % 50
         )
         if solver == "baseline":
-            result = solve_baseline(
-                instance, init="random", order="random", seed=seed
+            result = partition(
+                instance, solver="b", init="random", order="random", seed=seed
             )
         elif solver == "global_table":
-            result = solve_global_table(instance, init="random", seed=seed)
+            result = partition(instance, solver="gt", init="random", seed=seed)
         else:
-            result = solve_vectorized(instance, init="random", seed=seed)
+            result = partition(
+                instance, solver="vec", init="random", seed=seed
+            )
         assert result.converged
         assert equilibrium_report(instance, result.assignment).is_equilibrium
 
     @pytest.mark.parametrize(
         "solve",
         [
-            lambda inst: solve_baseline(
-                inst, init="random", order="given", seed=2
+            lambda inst: partition(
+                inst, solver="b", init="random", order="given", seed=2
             ),
-            lambda inst: solve_global_table(
-                inst, init="random", order="given", seed=2
+            lambda inst: partition(
+                inst, solver="gt", init="random", order="given", seed=2
             ),
         ],
         ids=["baseline", "global_table"],

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import potential, solve_baseline
+from repro import partition
+from repro.core import potential
 from repro.core.analysis import (
     assignment_diff,
     class_profiles,
@@ -52,7 +53,7 @@ class TestPotentialTrace:
 
 class TestConvergenceReport:
     def test_report_fields(self, instance):
-        result = solve_baseline(instance, seed=0, track_potential=True)
+        result = partition(instance, solver="b", seed=0, track_potential=True)
         report = convergence_report(instance, result)
         assert report.rounds == result.num_rounds
         assert report.total_deviations == result.total_deviations
@@ -63,7 +64,7 @@ class TestConvergenceReport:
         assert report.potential_drop >= -1e-9
 
     def test_far_below_lemma2_ceiling(self, instance):
-        result = solve_baseline(instance, seed=0, track_potential=True)
+        result = partition(instance, solver="b", seed=0, track_potential=True)
         report = convergence_report(instance, result)
         assert report.rounds <= report.lemma2_ceiling
         assert report.ceiling_utilization < 0.01
@@ -85,7 +86,7 @@ class TestAssignmentDiff:
 
 class TestClassProfiles:
     def test_members_sum_to_n(self, instance):
-        result = solve_baseline(instance, seed=0)
+        result = partition(instance, solver="b", seed=0)
         profiles = class_profiles(instance, result.assignment)
         assert sum(p.members for p in profiles) == instance.n
         assert len(profiles) == instance.k
@@ -93,7 +94,7 @@ class TestClassProfiles:
     def test_internal_external_consistent_with_cut(self, instance):
         from repro.core import social_cost_sum
 
-        result = solve_baseline(instance, seed=0)
+        result = partition(instance, solver="b", seed=0)
         profiles = class_profiles(instance, result.assignment)
         external = sum(p.external_weight for p in profiles)
         # Every crossing edge is external for both endpoints.
@@ -108,21 +109,21 @@ class TestClassProfiles:
     def test_assignment_costs_sum(self, instance):
         from repro.core import assignment_cost_sum
 
-        result = solve_baseline(instance, seed=0)
+        result = partition(instance, solver="b", seed=0)
         profiles = class_profiles(instance, result.assignment)
         assert sum(p.assignment_cost for p in profiles) == pytest.approx(
             assignment_cost_sum(instance, result.assignment)
         )
 
     def test_cohesion_range(self, instance):
-        result = solve_baseline(instance, seed=0)
+        result = partition(instance, solver="b", seed=0)
         for profile in class_profiles(instance, result.assignment):
             assert 0.0 <= profile.cohesion <= 1.0
 
 
 class TestQualitySummary:
     def test_keys_and_consistency(self, instance):
-        result = solve_baseline(instance, seed=0)
+        result = partition(instance, solver="b", seed=0)
         summary = quality_summary(instance, result.assignment)
         assert summary["total"] == pytest.approx(result.value.total)
         assert summary["classes_used"] <= instance.k

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    capacity_violations,
-    is_capacitated_equilibrium,
-    solve_capacitated,
-)
+from repro import partition
+from repro.core import capacity_violations, is_capacitated_equilibrium
 from repro.core.capacitated import (
     feasible_initial_assignment,
     validate_capacities,
@@ -58,7 +55,7 @@ class TestSolver:
     def test_reaches_capacitated_equilibrium(self, seed):
         instance = random_instance(seed=seed)
         caps = [(instance.n + instance.k - 1) // instance.k + 1] * instance.k
-        result = solve_capacitated(instance, caps, seed=seed)
+        result = partition(instance, solver="cap", capacities=caps, seed=seed)
         assert result.converged
         assert not capacity_violations(result.assignment, caps)
         assert is_capacitated_equilibrium(instance, result.assignment, caps)
@@ -68,7 +65,7 @@ class TestSolver:
         from repro.core import is_nash_equilibrium
 
         caps = [instance.n] * instance.k
-        result = solve_capacitated(instance, caps, seed=0)
+        result = partition(instance, solver="cap", capacities=caps, seed=0)
         assert is_nash_equilibrium(instance, result.assignment)
 
     def test_tight_capacities_spread_players(self, instance):
@@ -77,32 +74,32 @@ class TestSolver:
         caps = [per_class] * instance.k
         # Make the total exactly n (pad the last class if needed).
         caps[-1] += instance.n - per_class * instance.k
-        result = solve_capacitated(instance, caps, seed=0)
+        result = partition(instance, solver="cap", capacities=caps, seed=0)
         loads = np.bincount(result.assignment, minlength=instance.k)
         np.testing.assert_array_equal(loads, caps)
 
     def test_loads_reported(self, instance):
         caps = [instance.n] * instance.k
-        result = solve_capacitated(instance, caps, seed=0)
+        result = partition(instance, solver="cap", capacities=caps, seed=0)
         assert sum(result.extra["loads"]) == instance.n
         assert result.extra["capacities"] == caps
 
 
 class TestMinimumParticipation:
     def test_no_cancellations_when_threshold_low(self, instance):
-        from repro.core.capacitated import solve_with_minimums
 
-        result = solve_with_minimums(instance, min_participants=0, seed=0)
+        result = partition(
+            instance, solver="minpart", min_participants=0, seed=0
+        )
         assert result.converged
         assert result.extra["canceled"] == []
         assert result.solver == "RMGP_minpart"
 
     def test_small_events_get_canceled(self, instance):
-        from repro.core.capacitated import solve_with_minimums
 
         threshold = max(2, instance.n // instance.k)
-        result = solve_with_minimums(
-            instance, min_participants=threshold, seed=0
+        result = partition(
+            instance, solver="minpart", min_participants=threshold, seed=0
         )
         loads = np.bincount(result.assignment, minlength=instance.k)
         for klass in range(instance.k):
@@ -112,29 +109,26 @@ class TestMinimumParticipation:
             assert loads[klass] == 0
 
     def test_everyone_in_one_event_extreme(self, instance):
-        from repro.core.capacitated import solve_with_minimums
 
-        result = solve_with_minimums(
-            instance, min_participants=instance.n, seed=0
+        result = partition(
+            instance, solver="minpart", min_participants=instance.n, seed=0
         )
         loads = np.bincount(result.assignment, minlength=instance.k)
         assert sorted(loads.tolist(), reverse=True)[0] == instance.n
 
     def test_rejects_negative_minimum(self, instance):
-        from repro.core.capacitated import solve_with_minimums
 
         with pytest.raises(ConfigurationError):
-            solve_with_minimums(instance, min_participants=-1)
+            partition(instance, solver="minpart", min_participants=-1)
 
     def test_capacity_conflict_detected(self, instance):
-        from repro.core.capacitated import solve_with_minimums
 
         # Tight per-class capacity + impossible minimum: cancellations
         # would leave too few seats, which must raise, not loop.
         per_class = -(-instance.n // instance.k)
         with pytest.raises(ConfigurationError):
-            solve_with_minimums(
-                instance,
+            partition(
+                instance, solver="minpart",
                 min_participants=per_class + 1,
                 capacities=[per_class] * instance.k,
                 seed=0,
@@ -152,7 +146,7 @@ class TestViolations:
 
     def test_equilibrium_check_rejects_overload(self, instance):
         caps = [instance.n] * instance.k
-        result = solve_capacitated(instance, caps, seed=0)
+        result = partition(instance, solver="cap", capacities=caps, seed=0)
         tight = [0] * instance.k
         tight[0] = instance.n
         # The solved assignment almost surely violates "everyone in class

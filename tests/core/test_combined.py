@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import partition
 from repro.core import (
     build_elimination_plan,
     is_nash_equilibrium,
     player_strategy_costs,
-    solve_all,
 )
 from repro.core.combined import build_pruned_table
 from repro.graph import greedy_coloring
@@ -41,38 +41,40 @@ class TestSolver:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_reaches_nash_equilibrium(self, seed):
         instance = random_instance(seed=seed)
-        result = solve_all(instance, seed=seed)
+        result = partition(instance, solver="all", seed=seed)
         assert result.converged
         assert is_nash_equilibrium(instance, result.assignment)
 
     def test_fixed_players_respected(self, instance):
         plan = build_elimination_plan(instance)
-        result = solve_all(instance, plan=plan, seed=0)
+        result = partition(instance, solver="all", plan=plan, seed=0)
         for player in range(instance.n):
             if plan.fixed_class[player] >= 0:
                 assert result.assignment[player] == plan.fixed_class[player]
 
     def test_accepts_explicit_coloring(self, instance):
         coloring = greedy_coloring(instance.graph)
-        result = solve_all(instance, coloring=coloring, seed=0)
+        result = partition(instance, solver="all", coloring=coloring, seed=0)
         assert result.converged
         assert is_nash_equilibrium(instance, result.assignment)
 
     def test_diagnostics(self, instance):
-        result = solve_all(instance, seed=0)
+        result = partition(instance, solver="all", seed=0)
         assert result.extra["num_groups"] >= 1
         assert 0 <= result.extra["num_fixed"] <= instance.n
         assert result.extra["strategies_remaining"] <= instance.n * instance.k
 
     def test_warm_start_from_equilibrium(self, instance):
-        first = solve_all(instance, seed=0)
-        second = solve_all(instance, warm_start=first.assignment, seed=0)
+        first = partition(instance, solver="all", seed=0)
+        second = partition(
+            instance, solver="all", warm_start=first.assignment, seed=0
+        )
         np.testing.assert_array_equal(first.assignment, second.assignment)
         assert second.total_deviations == 0
 
     def test_isolated_players_all_fixed(self):
         instance = random_instance(edge_probability=0.0, seed=2)
-        result = solve_all(instance, seed=0)
+        result = partition(instance, solver="all", seed=0)
         assert result.extra["num_fixed"] == instance.n
         # Everyone sits at the cheapest class.
         for player in range(instance.n):

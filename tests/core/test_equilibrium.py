@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import partition
 from repro.baselines import solve_exact
 from repro.core import (
     RMGPInstance,
@@ -11,7 +12,6 @@ from repro.core import (
     price_of_anarchy_bound,
     price_of_stability_bound,
     round_bound,
-    solve_baseline,
 )
 from repro.core.equilibrium import anarchy_gap
 from repro.graph import SocialGraph
@@ -21,7 +21,7 @@ from tests.core.conftest import tiny_instance
 
 class TestReport:
     def test_equilibrium_detected(self, instance):
-        result = solve_baseline(instance, seed=0)
+        result = partition(instance, solver="b", seed=0)
         report = equilibrium_report(instance, result.assignment)
         assert report.is_equilibrium
         assert report.max_regret <= 1e-9
@@ -42,7 +42,7 @@ class TestReport:
         assert "not an equilibrium" in str(report)
 
     def test_is_nash_wrapper(self, instance):
-        result = solve_baseline(instance, seed=1)
+        result = partition(instance, solver="b", seed=1)
         assert is_nash_equilibrium(instance, result.assignment)
         broken = result.assignment.copy()
         # Perturb a player with friends to break the equilibrium, if any
@@ -82,7 +82,7 @@ class TestBounds:
         """Theorem 2: any Nash equilibrium is within the PoA bound of OPT."""
         instance = tiny_instance(seed=seed)
         optimal = solve_exact(instance).value.total
-        equilibrium = solve_baseline(instance, seed=seed).value.total
+        equilibrium = partition(instance, solver="b", seed=seed).value.total
         ratio, bound = anarchy_gap(instance, equilibrium, optimal)
         assert ratio <= bound + 1e-9
 
@@ -97,8 +97,8 @@ class TestBounds:
         instance = tiny_instance(seed=seed)
         exact = solve_exact(instance)
         optimal = exact.value.total
-        reached = solve_baseline(
-            instance, warm_start=exact.assignment, seed=seed
+        reached = partition(
+            instance, solver="b", warm_start=exact.assignment, seed=seed
         )
         assert reached.value.total <= 2.0 * optimal + 1e-9
 
@@ -115,6 +115,8 @@ class TestBounds:
     def test_rounds_far_below_lemma2_bound(self, seed):
         """Observed rounds are well under the (loose) Lemma 2 ceiling."""
         instance = tiny_instance(seed=seed)
-        result = solve_baseline(instance, seed=seed, track_potential=True)
+        result = partition(
+            instance, solver="b", seed=seed, track_potential=True
+        )
         # Costs are floats; a scale of 1e6 makes an integer-ish potential.
         assert result.num_rounds <= round_bound(instance, scale=1e6)

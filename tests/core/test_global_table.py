@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import partition
 from repro.core import (
     build_global_table,
     happiness,
     is_nash_equilibrium,
     player_strategy_costs,
-    solve_baseline,
-    solve_global_table,
 )
 
 from tests.core.conftest import random_instance
@@ -41,7 +40,7 @@ class TestSolver:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reaches_nash_equilibrium(self, seed):
         instance = random_instance(seed=seed)
-        result = solve_global_table(instance, seed=seed)
+        result = partition(instance, solver="gt", seed=seed)
         assert result.converged
         assert is_nash_equilibrium(instance, result.assignment)
 
@@ -52,13 +51,15 @@ class TestSolver:
         both use the same initial assignments" (Section 4.3) — and the
         same final equilibrium, since only the bookkeeping differs.
         """
-        baseline = solve_baseline(instance, init="closest", order="given")
-        table = solve_global_table(instance, init="closest", order="given")
+        baseline = partition(
+            instance, solver="b", init="closest", order="given"
+        )
+        table = partition(instance, solver="gt", init="closest", order="given")
         np.testing.assert_array_equal(baseline.assignment, table.assignment)
 
     def test_examines_fewer_players_over_time(self):
         instance = random_instance(num_players=60, seed=7)
-        result = solve_global_table(instance, init="random", seed=7)
+        result = partition(instance, solver="gt", init="random", seed=7)
         examined = [
             r.players_examined for r in result.rounds if r.round_index > 0
         ]
@@ -67,11 +68,11 @@ class TestSolver:
             assert examined[-1] <= examined[0]
 
     def test_table_consistent_at_termination(self, instance):
-        result = solve_global_table(instance, seed=0)
+        result = partition(instance, solver="gt", seed=0)
         table = build_global_table(instance, result.assignment)
         happy = happiness(table, result.assignment)
         assert happy.all()
 
     def test_reports_table_bytes(self, instance):
-        result = solve_global_table(instance, seed=0)
+        result = partition(instance, solver="gt", seed=0)
         assert result.extra["table_bytes"] == instance.n * instance.k * 8

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    IncrementalRMGP,
-    build_global_table,
-    is_nash_equilibrium,
-    solve_global_table,
-)
+from repro import partition
+from repro.core import IncrementalRMGP, build_global_table, is_nash_equilibrium
 from repro.errors import ConfigurationError
 
 from tests.core.conftest import random_instance
@@ -25,7 +21,9 @@ class TestInitialSolve:
 
     def test_matches_global_table_solver(self, instance):
         engine = IncrementalRMGP(instance, init="closest")
-        direct = solve_global_table(instance, init="closest", order="given")
+        direct = partition(
+            instance, solver="gt", init="closest", order="given"
+        )
         np.testing.assert_array_equal(engine.assignment, direct.assignment)
 
 

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    groups_from_coloring,
-    is_nash_equilibrium,
-    solve_independent_sets,
-)
+from repro import partition
+from repro.core import groups_from_coloring, is_nash_equilibrium
 from repro.errors import ConfigurationError
 from repro.graph import greedy_coloring
 
@@ -43,22 +40,22 @@ class TestSolver:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reaches_nash_equilibrium(self, seed):
         instance = random_instance(seed=seed)
-        result = solve_independent_sets(instance, seed=seed)
+        result = partition(instance, solver="is", seed=seed)
         assert result.converged
         assert is_nash_equilibrium(instance, result.assignment)
 
     @pytest.mark.parametrize("threads", [2, 4])
     def test_threads_match_sequential(self, threads, instance):
-        sequential = solve_independent_sets(instance, seed=5, threads=1)
-        threaded = solve_independent_sets(instance, seed=5, threads=threads)
+        sequential = partition(instance, solver="is", seed=5, threads=1)
+        threaded = partition(instance, solver="is", seed=5, threads=threads)
         np.testing.assert_array_equal(sequential.assignment, threaded.assignment)
 
     def test_rejects_bad_threads(self, instance):
         with pytest.raises(ConfigurationError):
-            solve_independent_sets(instance, threads=0)
+            partition(instance, solver="is", threads=0)
 
     def test_model_speedup_reported(self, instance):
-        result = solve_independent_sets(instance, seed=0, threads=4)
+        result = partition(instance, solver="is", seed=0, threads=4)
         extra = result.extra
         assert extra["threads"] == 4
         assert extra["model_players_per_round"] <= instance.n
@@ -66,12 +63,12 @@ class TestSolver:
         assert extra["num_groups"] >= 1
 
     def test_single_thread_model_is_sequential(self, instance):
-        result = solve_independent_sets(instance, seed=0, threads=1)
+        result = partition(instance, solver="is", seed=0, threads=1)
         assert result.extra["model_players_per_round"] == instance.n
         assert result.extra["model_speedup"] == pytest.approx(1.0)
 
     def test_explicit_coloring_used(self, instance):
         coloring = greedy_coloring(instance.graph)
-        result = solve_independent_sets(instance, seed=0, coloring=coloring)
+        result = partition(instance, solver="is", seed=0, coloring=coloring)
         assert result.converged
         assert result.extra["num_groups"] == len(set(coloring.values()))

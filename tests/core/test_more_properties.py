@@ -5,14 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import partition
 from repro.core import (
     RMGPInstance,
     estimate_cn,
     is_capacitated_equilibrium,
     normalize,
-    solve_baseline,
-    solve_capacitated,
-    solve_vectorized,
 )
 from repro.core.capacitated import capacity_violations
 from repro.graph import SocialGraph
@@ -59,8 +57,8 @@ def test_normalization_undoes_uniform_cost_scaling(instance, scale):
     # identity scaling, where the inverse relation does not apply.
     assume(instance.graph.num_edges > 0 and base_est.avg_median_cost > 0)
     assert scaled_est.cn * scale == pytest.approx(base_est.cn, rel=1e-9)
-    a = solve_baseline(base_norm, init="closest", order="given")
-    b = solve_baseline(scaled_norm, init="closest", order="given")
+    a = partition(base_norm, solver="b", init="closest", order="given")
+    b = partition(scaled_norm, solver="b", init="closest", order="given")
     # The effective games are identical up to float rounding.  Rounding
     # can flip exact argmin ties, sending the deterministic dynamics to
     # different (equally valid) equilibria — so assert the transferable
@@ -102,7 +100,7 @@ def test_capacitated_always_feasible_and_stable(instance, seed):
     equilibrium, for the tightest uniform capacity that fits."""
     per_class = -(-instance.n // instance.k)  # ceil division
     caps = [per_class] * instance.k
-    result = solve_capacitated(instance, caps, seed=seed)
+    result = partition(instance, solver="cap", capacities=caps, seed=seed)
     assert not capacity_violations(result.assignment, caps)
     assert is_capacitated_equilibrium(instance, result.assignment, caps)
 
@@ -111,7 +109,7 @@ def test_capacitated_always_feasible_and_stable(instance, seed):
 @given(small_instances(), st.integers(0, 3))
 def test_warm_start_idempotence_across_solvers(instance, seed):
     """Any solver warm-started at another's equilibrium stays there."""
-    first = solve_baseline(instance, seed=seed)
-    second = solve_vectorized(instance, warm_start=first.assignment)
+    first = partition(instance, solver="b", seed=seed)
+    second = partition(instance, solver="vec", warm_start=first.assignment)
     assert second.total_deviations == 0
     np.testing.assert_array_equal(first.assignment, second.assignment)

@@ -5,6 +5,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from repro import partition
 from repro.core import (
     RMGPInstance,
     average_median_cost,
@@ -14,7 +15,6 @@ from repro.core import (
     normalize,
     normalize_with_constant,
     objective,
-    solve_baseline,
 )
 from repro.errors import ConfigurationError
 from repro.graph import SocialGraph
@@ -91,12 +91,14 @@ class TestNormalize:
         whereas raw they differ by the cost scale (x100 here).
         """
         raw = scaled_instance(100.0, seed=3)
-        result_raw = solve_baseline(raw, init="closest", order="given")
+        result_raw = partition(raw, solver="b", init="closest", order="given")
         value_raw = objective(raw, result_raw.assignment)
         ratio_raw = value_raw.assignment_cost / max(value_raw.social_cost, 1e-9)
 
         normalized, _ = normalize(raw, "pessimistic")
-        result_norm = solve_baseline(normalized, init="closest", order="given")
+        result_norm = partition(
+            normalized, solver="b", init="closest", order="given"
+        )
         value_norm = objective(normalized, result_norm.assignment)
         ratio_norm = value_norm.assignment_cost / max(value_norm.social_cost, 1e-9)
 
@@ -110,8 +112,8 @@ class TestNormalize:
         """
         a, _ = normalize(scaled_instance(1.0, seed=4), "pessimistic")
         b, _ = normalize(scaled_instance(100.0, seed=4), "pessimistic")
-        result_a = solve_baseline(a, init="closest", order="given")
-        result_b = solve_baseline(b, init="closest", order="given")
+        result_a = partition(a, solver="b", init="closest", order="given")
+        result_b = partition(b, solver="b", init="closest", order="given")
         np.testing.assert_array_equal(result_a.assignment, result_b.assignment)
 
     def test_normalize_with_constant(self, instance):
@@ -126,7 +128,7 @@ class TestNormalize:
 
 class TestExactCN:
     def test_definition(self, instance):
-        result = solve_baseline(instance, seed=0)
+        result = partition(instance, solver="b", seed=0)
         value = objective(instance, result.assignment)
         ac = value.assignment_cost / instance.n
         sc = 2.0 * value.social_cost / instance.n

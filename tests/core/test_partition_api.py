@@ -1,9 +1,7 @@
 """Conformance of the unified ``repro.partition()`` API.
 
-Every registry solver must (a) agree byte-for-byte with its legacy
-``solve_*`` entry point, (b) return the shared ``PartitionResult``
-contract, and (c) reject options it does not understand.  The legacy
-entry points must keep working but warn.
+Every registry solver must (a) return the shared ``PartitionResult``
+contract and (b) reject options it does not understand.
 """
 
 from __future__ import annotations
@@ -18,28 +16,19 @@ from repro.core.result import PartitionResult, RoundStats
 from repro.errors import ConfigurationError
 from tests.core.conftest import random_instance
 
-#: canonical name -> (legacy entry point, extra kwargs it needs)
-LEGACY = {
-    "b": ("repro.core.baseline", "solve_baseline", {}),
-    "se": ("repro.core.strategy_elimination", "solve_strategy_elimination", {}),
-    "is": ("repro.core.independent_sets", "solve_independent_sets", {}),
-    "gt": ("repro.core.global_table", "solve_global_table", {}),
-    "all": ("repro.core.combined", "solve_all", {}),
-    "vec": ("repro.core.vectorized", "solve_vectorized", {}),
-    "mg": ("repro.core.priority", "solve_max_gain", {}),
-    "sync": ("repro.core.simultaneous", "solve_simultaneous", {}),
-    "cap": ("repro.core.capacitated", "solve_capacitated",
-            {"capacities": [12] * 4}),
-    "minpart": ("repro.core.capacitated", "solve_with_minimums",
-                {"min_participants": 2}),
+#: canonical name -> extra kwargs the solver needs
+SOLVER_KWARGS = {
+    "b": {},
+    "se": {},
+    "is": {},
+    "gt": {},
+    "all": {},
+    "vec": {},
+    "mg": {},
+    "sync": {},
+    "cap": {"capacities": [12] * 4},
+    "minpart": {"min_participants": 2},
 }
-
-
-def legacy_entry(name):
-    import importlib
-
-    module_name, function_name, extra = LEGACY[name]
-    return getattr(importlib.import_module(module_name), function_name), extra
 
 
 @pytest.fixture(scope="module")
@@ -62,19 +51,10 @@ class TestRegistry:
             partition(instance, solver="nope")
 
 
-@pytest.mark.parametrize("name", sorted(LEGACY))
+@pytest.mark.parametrize("name", sorted(SOLVER_KWARGS))
 class TestConformance:
-    def test_partition_matches_legacy(self, instance, name):
-        legacy, extra = legacy_entry(name)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            old = legacy(instance, seed=9, **extra)
-        new = partition(instance, solver=name, seed=9, **extra)
-        assert np.array_equal(old.assignment, new.assignment)
-        assert old.total_deviations == new.total_deviations
-        assert old.converged == new.converged
-
     def test_result_contract(self, instance, name):
-        _, extra = legacy_entry(name)
+        extra = SOLVER_KWARGS[name]
         result = partition(instance, solver=name, seed=9, **extra)
         assert isinstance(result, PartitionResult)
         assert result.solver.startswith("RMGP_")
@@ -93,7 +73,7 @@ class TestConformance:
         assert any(r.players_examined > 0 for r in result.rounds)
 
     def test_assignment_is_a_fresh_copy(self, instance, name):
-        _, extra = legacy_entry(name)
+        extra = SOLVER_KWARGS[name]
         result = partition(instance, solver=name, seed=9, **extra)
         before = result.assignment.copy()
         result.assignment[:] = -1
@@ -103,7 +83,7 @@ class TestConformance:
     def test_to_dict_is_json_ready(self, instance, name):
         import json
 
-        _, extra = legacy_entry(name)
+        extra = SOLVER_KWARGS[name]
         result = partition(instance, solver=name, seed=9, **extra)
         payload = json.loads(json.dumps(result.to_dict()))
         assert payload["solver"] == result.solver

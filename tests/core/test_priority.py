@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import is_nash_equilibrium, solve_baseline
-from repro.core.priority import solve_max_gain
+from repro import partition
+from repro.core import is_nash_equilibrium
 from repro.errors import ConvergenceError
 
 from tests.core.conftest import random_instance
@@ -14,26 +14,28 @@ class TestConvergence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_reaches_nash_equilibrium(self, seed):
         instance = random_instance(seed=seed)
-        result = solve_max_gain(instance, seed=seed)
+        result = partition(instance, solver="mg", seed=seed)
         assert result.converged
         assert is_nash_equilibrium(instance, result.assignment)
 
     def test_random_init_converges(self, instance):
-        result = solve_max_gain(instance, init="random", seed=7)
+        result = partition(instance, solver="mg", init="random", seed=7)
         assert is_nash_equilibrium(instance, result.assignment)
 
     def test_warm_start_noop(self, instance):
-        first = solve_baseline(instance, seed=0)
-        second = solve_max_gain(instance, warm_start=first.assignment)
+        first = partition(instance, solver="b", seed=0)
+        second = partition(instance, solver="mg", warm_start=first.assignment)
         assert second.extra["total_moves"] == 0
         np.testing.assert_array_equal(first.assignment, second.assignment)
 
     def test_move_budget_enforced(self, instance):
         with pytest.raises(ConvergenceError):
-            solve_max_gain(instance, init="random", seed=1, max_moves=0)
+            partition(
+                instance, solver="mg", init="random", seed=1, max_moves=0
+            )
 
     def test_moves_reported(self, instance):
-        result = solve_max_gain(instance, init="random", seed=2)
+        result = partition(instance, solver="mg", init="random", seed=2)
         assert result.extra["total_moves"] == result.total_deviations
         assert result.extra["total_moves"] >= 0
 
@@ -43,8 +45,10 @@ class TestConvergence:
         Not a theorem — asserted with slack as a regression canary for
         the priority scheduling.
         """
-        round_robin = solve_baseline(instance, init="closest", order="given")
-        max_gain = solve_max_gain(instance, init="closest")
+        round_robin = partition(
+            instance, solver="b", init="closest", order="given"
+        )
+        max_gain = partition(instance, solver="mg", init="closest")
         assert (
             max_gain.extra["total_moves"]
             <= 2 * max(round_robin.total_deviations, 1)
@@ -55,7 +59,7 @@ class TestConvergence:
         from repro.core.dynamics import initial_assignment
 
         start = initial_assignment(instance, "closest")
-        result = solve_max_gain(instance, init="closest")
+        result = partition(instance, solver="mg", init="closest")
         assert potential(instance, result.assignment) <= potential(
             instance, start
         ) + 1e-9

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import partition
 from repro.core import (
     RMGPInstance,
     best_response,
@@ -26,11 +27,6 @@ from repro.core import (
     objective,
     player_cost,
     potential,
-    solve_all,
-    solve_baseline,
-    solve_global_table,
-    solve_independent_sets,
-    solve_strategy_elimination,
     total_player_cost,
 )
 from repro.graph import SocialGraph
@@ -123,19 +119,13 @@ def test_best_response_never_increases_potential(data):
         assert potential(instance, moved) <= potential(instance, assignment) + 1e-9
 
 
-SOLVERS = [
-    solve_baseline,
-    solve_strategy_elimination,
-    solve_independent_sets,
-    solve_global_table,
-    solve_all,
-]
+SOLVERS = ["b", "se", "is", "gt", "all"]
 
 
 @settings(max_examples=25, deadline=None)
 @given(rmgp_instances(), st.integers(0, len(SOLVERS) - 1), st.integers(0, 3))
 def test_every_solver_reaches_nash_equilibrium(instance, which, seed):
-    result = SOLVERS[which](instance, seed=seed)
+    result = partition(instance, solver=SOLVERS[which], seed=seed)
     assert result.converged
     assert is_nash_equilibrium(instance, result.assignment)
 
@@ -144,7 +134,7 @@ def test_every_solver_reaches_nash_equilibrium(instance, which, seed):
 @given(rmgp_instances(), st.integers(0, 3))
 def test_potential_monotone_along_dynamics(instance, seed):
     """The tracked potential never increases round over round."""
-    result = solve_baseline(instance, seed=seed, track_potential=True)
+    result = partition(instance, solver="b", seed=seed, track_potential=True)
     values = [r.potential for r in result.rounds]
     for before, after in zip(values, values[1:]):
         assert after <= before + 1e-9
@@ -155,8 +145,8 @@ def test_potential_monotone_along_dynamics(instance, seed):
 def test_deterministic_variants_agree(instance):
     """With identical init and sweep order, b / se / gt walk one path."""
     kwargs = {"init": "closest", "order": "given"}
-    a = solve_baseline(instance, **kwargs)
-    b = solve_strategy_elimination(instance, **kwargs)
-    c = solve_global_table(instance, **kwargs)
+    a = partition(instance, solver="b", **kwargs)
+    b = partition(instance, solver="se", **kwargs)
+    c = partition(instance, solver="gt", **kwargs)
     np.testing.assert_array_equal(a.assignment, b.assignment)
     np.testing.assert_array_equal(a.assignment, c.assignment)

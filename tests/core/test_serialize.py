@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import solve_baseline
+from repro import partition
 from repro.core.serialize import (
     FORMAT_VERSION,
     load_assignment,
@@ -19,7 +19,7 @@ from tests.core.conftest import random_instance
 
 @pytest.fixture
 def saved(tmp_path, instance):
-    result = solve_baseline(instance, seed=0)
+    result = partition(instance, solver="b", seed=0)
     path = str(tmp_path / "result.json")
     save_result(result, path)
     return instance, result, path
@@ -33,8 +33,9 @@ class TestRoundTrip:
 
     def test_warm_start_from_file(self, saved):
         instance, result, path = saved
-        warm = solve_baseline(
-            instance, warm_start=load_assignment(path, instance), seed=0
+        warm = partition(
+            instance, solver="b", warm_start=load_assignment(path, instance),
+            seed=0,
         )
         assert warm.total_deviations == 0
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import partition
 from repro.core import (
     build_elimination_plan,
     is_nash_equilibrium,
     player_strategy_costs,
-    solve_strategy_elimination,
 )
 
 from tests.core.conftest import random_instance
@@ -68,40 +68,43 @@ class TestSolver:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reaches_nash_equilibrium(self, seed):
         instance = random_instance(seed=seed)
-        result = solve_strategy_elimination(instance, seed=seed)
+        result = partition(instance, solver="se", seed=seed)
         assert result.converged
         assert is_nash_equilibrium(instance, result.assignment)
 
     def test_fixed_players_at_cheapest_class(self, instance):
         plan = build_elimination_plan(instance)
-        result = solve_strategy_elimination(instance, plan=plan, seed=0)
+        result = partition(instance, solver="se", plan=plan, seed=0)
         for player in range(instance.n):
             if plan.fixed_class[player] >= 0:
                 assert result.assignment[player] == plan.fixed_class[player]
 
     def test_final_classes_within_valid_sets(self, instance):
         plan = build_elimination_plan(instance)
-        result = solve_strategy_elimination(instance, plan=plan, seed=0)
+        result = partition(instance, solver="se", plan=plan, seed=0)
         for player in range(instance.n):
             assert result.assignment[player] in plan.valid_classes[player]
 
     def test_reusing_plan_matches_fresh(self, instance):
         plan = build_elimination_plan(instance)
-        fresh = solve_strategy_elimination(instance, seed=3)
-        reused = solve_strategy_elimination(instance, plan=plan, seed=3)
+        fresh = partition(instance, solver="se", seed=3)
+        reused = partition(instance, solver="se", plan=plan, seed=3)
         np.testing.assert_array_equal(fresh.assignment, reused.assignment)
 
     def test_extra_diagnostics(self, instance):
-        result = solve_strategy_elimination(instance, seed=0)
+        result = partition(instance, solver="se", seed=0)
         assert result.extra["strategies_total"] == instance.n * instance.k
         assert 0 <= result.extra["num_fixed"] <= instance.n
         assert result.extra["strategies_remaining"] <= instance.n * instance.k
 
     def test_matches_baseline_quality_from_same_start(self):
         """From closest-init + given order, se explores the same responses."""
-        from repro.core import solve_baseline
 
         instance = random_instance(seed=9)
-        baseline = solve_baseline(instance, init="closest", order="given")
-        pruned = solve_strategy_elimination(instance, init="closest", order="given")
+        baseline = partition(
+            instance, solver="b", init="closest", order="given"
+        )
+        pruned = partition(
+            instance, solver="se", init="closest", order="given"
+        )
         np.testing.assert_array_equal(baseline.assignment, pruned.assignment)

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    is_nash_equilibrium,
-    solve_independent_sets,
-    solve_vectorized,
-)
+from repro import partition
+from repro.core import is_nash_equilibrium
 from repro.graph import greedy_coloring
 
 from tests.core.conftest import random_instance
@@ -17,7 +14,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_reaches_nash_equilibrium(self, seed):
         instance = random_instance(seed=seed)
-        result = solve_vectorized(instance, seed=seed)
+        result = partition(instance, solver="vec", seed=seed)
         assert result.converged
         assert is_nash_equilibrium(instance, result.assignment)
 
@@ -29,24 +26,25 @@ class TestCorrectness:
         RMGP_is does when both sweep groups in the same (color) order.
         """
         coloring = greedy_coloring(instance.graph)
-        scalar = solve_independent_sets(
-            instance, init="closest", order="given", coloring=coloring
+        scalar = partition(
+            instance, solver="is", init="closest", order="given",
+            coloring=coloring,
         )
-        batched = solve_vectorized(
-            instance, init="closest", coloring=coloring
+        batched = partition(
+            instance, solver="vec", init="closest", coloring=coloring
         )
         np.testing.assert_array_equal(scalar.assignment, batched.assignment)
         assert scalar.num_rounds == batched.num_rounds
 
     def test_warm_start_noop(self, instance):
-        first = solve_vectorized(instance, seed=0)
-        second = solve_vectorized(instance, warm_start=first.assignment)
+        first = partition(instance, solver="vec", seed=0)
+        second = partition(instance, solver="vec", warm_start=first.assignment)
         assert second.total_deviations == 0
         np.testing.assert_array_equal(first.assignment, second.assignment)
 
     def test_isolated_players(self):
         instance = random_instance(edge_probability=0.0, seed=1)
-        result = solve_vectorized(instance, init="closest")
+        result = partition(instance, solver="vec", init="closest")
         for player in range(instance.n):
             assert result.assignment[player] == int(
                 instance.cost.row(player).argmin()
@@ -55,7 +53,7 @@ class TestCorrectness:
     def test_value_matches_objective(self, instance):
         from repro.core import objective
 
-        result = solve_vectorized(instance, seed=2)
+        result = partition(instance, solver="vec", seed=2)
         assert result.value.total == pytest.approx(
             objective(instance, result.assignment).total
         )
@@ -76,5 +74,5 @@ class TestLargerScale:
         instance = random_instance(
             num_players=300, num_classes=12, edge_probability=0.04, seed=9
         )
-        result = solve_vectorized(instance, seed=0)
+        result = partition(instance, solver="vec", seed=0)
         assert is_nash_equilibrium(instance, result.assignment)

@@ -4,13 +4,8 @@ makes about it explicitly (Sections 3.1 and 4.1)."""
 import numpy as np
 import pytest
 
-from repro.core import (
-    build_elimination_plan,
-    is_nash_equilibrium,
-    objective,
-    solve_all,
-    solve_baseline,
-)
+from repro import partition
+from repro.core import build_elimination_plan, is_nash_equilibrium, objective
 from repro.datasets import (
     EVENTS,
     USERS,
@@ -75,7 +70,7 @@ class TestSection41Claims:
 
 class TestEquilibrium:
     def test_deterministic_equilibrium(self, instance):
-        result = solve_baseline(instance, init="closest", order="given")
+        result = partition(instance, solver="b", init="closest", order="given")
         assert result.labels == {
             "v1": "p3",
             "v2": "p2",
@@ -89,19 +84,23 @@ class TestEquilibrium:
     def test_v4_dragged_by_friends(self, instance):
         """The Figure 1 narrative: v4 is not at his closest event because
         his friends v3 and v6 attend another one."""
-        result = solve_baseline(instance, init="closest", order="given")
+        result = partition(instance, solver="b", init="closest", order="given")
         v4 = instance.index_of["v4"]
         closest = int(instance.cost.row(v4).argmin())
         assert result.assignment[v4] != closest
         assert result.labels["v4"] == result.labels["v3"] == result.labels["v6"]
 
     def test_all_solvers_agree_on_this_instance(self, instance):
-        expected = solve_baseline(instance, init="closest", order="given")
-        optimized = solve_all(instance, init="closest", order="given")
+        expected = partition(
+            instance, solver="b", init="closest", order="given"
+        )
+        optimized = partition(
+            instance, solver="all", init="closest", order="given"
+        )
         np.testing.assert_array_equal(expected.assignment, optimized.assignment)
 
     def test_objective_value(self, instance):
-        result = solve_baseline(instance, init="closest", order="given")
+        result = partition(instance, solver="b", init="closest", order="given")
         value = objective(instance, result.assignment)
         # Hand computation: assignment = .27+.34+.30+.67+.10+.20 = 1.88;
         # crossing edges: (v1,v4)=.1, (v1,v5)=.1, (v2,v5)=.4 -> 0.6.

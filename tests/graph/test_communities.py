@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from repro import partition
 from repro.errors import GraphError
 from repro.graph import SocialGraph, planted_partition
 from repro.graph.communities import agreement, community_sizes, label_propagation
@@ -80,7 +81,7 @@ class TestRMGPBridge:
         low-alpha RMGP should recover the communities just like label
         propagation does.
         """
-        from repro.core import RMGPInstance, solve_baseline
+        from repro.core import RMGPInstance
 
         graph, membership = planted_partition(
             [15, 15], 0.6, 0.02, random.Random(2)
@@ -90,7 +91,7 @@ class TestRMGPBridge:
             [[0.0, 0.01] if membership[v] == 0 else [0.01, 0.0] for v in graph]
         )
         instance = RMGPInstance(graph, ["c0", "c1"], cost, alpha=0.05)
-        result = solve_baseline(instance, init="closest", order="given")
+        result = partition(instance, solver="b", init="closest", order="given")
         rmgp_labels = {
             node: int(result.assignment[i])
             for i, node in enumerate(graph.nodes())

@@ -12,7 +12,8 @@ must produce identical assignments, not merely equally good ones.
 import numpy as np
 import pytest
 
-from repro.core import RMGPInstance, solve_all
+from repro import partition
+from repro.core import RMGPInstance
 from repro.core.normalization import normalize_with_constant
 from repro.datasets import gowalla_like
 from repro.distributed import DGQuery, build_cluster, hash_partition
@@ -42,8 +43,9 @@ def test_dg_matches_centralized_all(num_slaves):
         dataset.graph, dataset.event_ids, dataset.cost_matrix(), 0.5
     )
     instance = normalize_with_constant(base, dg.cn)
-    centralized = solve_all(
-        instance, init="closest", order="given", coloring=coloring
+    centralized = partition(
+        instance, solver="all", init="closest", order="given",
+        coloring=coloring,
     )
 
     dg_assignment = np.array(
@@ -65,8 +67,9 @@ def test_peer_matches_centralized_too():
         dataset.graph, dataset.event_ids, dataset.cost_matrix(), 0.5
     )
     instance = normalize_with_constant(base, dg.cn)
-    centralized = solve_all(
-        instance, init="closest", order="given", coloring=coloring
+    centralized = partition(
+        instance, solver="all", init="closest", order="given",
+        coloring=coloring,
     )
     dg_assignment = np.array(
         [dg.assignment[u] for u in dataset.graph.nodes()]

@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import partition
 from repro.apps import Event, LAGPTask, Rectangle
 from repro.baselines import solve_exact, solve_metis_hungarian, solve_uml_lp
-from repro.core import (
-    RMGPInstance,
-    is_nash_equilibrium,
-    objective,
-    solve_all,
-    solve_baseline,
-)
+from repro.core import RMGPInstance, is_nash_equilibrium, objective
 from repro.core.normalization import normalize_with_constant
 from repro.datasets import gowalla_like
 from repro.distributed import DGQuery, build_cluster, hash_partition, run_fae
@@ -54,8 +49,11 @@ class TestSolverCrossValidation:
     def test_equilibria_within_two_of_optimal_from_opt_start(self, seed):
         instance = tiny_instance(seed=seed)
         exact = solve_exact(instance)
-        for solver in (solve_baseline, solve_all):
-            result = solver(instance, warm_start=exact.assignment, seed=seed)
+        for solver in ("b", "all"):
+            result = partition(
+                instance, solver=solver, warm_start=exact.assignment,
+                seed=seed,
+            )
             assert result.value.total <= 2.0 * exact.value.total + 1e-9
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -63,7 +61,9 @@ class TestSolverCrossValidation:
         """Paper §6.1: the game's quality is comparable to UML_lp."""
         instance = tiny_instance(seed=seed)
         lp = solve_uml_lp(instance, seed=seed)
-        game = solve_baseline(instance, init="closest", order="degree", seed=seed)
+        game = partition(
+            instance, solver="b", init="closest", order="degree", seed=seed
+        )
         assert game.value.total <= 2.5 * lp.extra["lp_value"] + 1e-9
 
     def test_mh_runs_on_game_instances(self):
@@ -92,7 +92,7 @@ class TestDecentralizedEquivalence:
         assert is_nash_equilibrium(instance, dg_assignment)
         assert is_nash_equilibrium(instance, fae.partition.assignment)
 
-        centralized = solve_all(instance, seed=2)
+        centralized = partition(instance, solver="all", seed=2)
         assert is_nash_equilibrium(instance, centralized.assignment)
 
         # All three equilibria have the same order-of-magnitude quality.

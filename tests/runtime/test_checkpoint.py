@@ -8,13 +8,15 @@ import random
 import numpy as np
 import pytest
 
+from repro import partition
 from repro.core.serialize import (
     CHECKPOINT_FORMAT_VERSION,
     load_checkpoint,
     save_checkpoint,
 )
 from repro.errors import DataError
-from repro.runtime import SolveCheckpoint
+from repro.obs import recording
+from repro.runtime import CountdownToken, SolveCheckpoint
 from repro.runtime.checkpoint import (
     decode_array,
     decode_rng_state,
@@ -125,3 +127,89 @@ class TestSolveCheckpoint:
         path.write_text("{not json")
         with pytest.raises(DataError):
             load_checkpoint(str(path))
+
+
+def _bad_sweep(state, n, k):
+    state["sweep"][0] = n
+
+
+def _bad_groups(state, n, k):
+    state["groups"][0][0] = n
+
+
+def _wide_table(state, n, k):
+    state["table"] = np.zeros((n, k + 1))
+
+
+def _bad_heap(state, n, k):
+    state["heap_players"][0] = n
+
+
+def _short_best(state, n, k):
+    state["best_assignment"] = state["best_assignment"][:-1]
+
+
+#: (registry name, solver kwargs, corruption of the checkpoint state)
+CORRUPTIONS = [
+    ("b", {}, _bad_sweep),
+    ("se", {}, _bad_sweep),
+    ("is", {}, _bad_groups),
+    ("gt", {}, _bad_sweep),
+    ("gt", {}, _wide_table),
+    ("all", {}, _wide_table),
+    ("vec", {}, _bad_groups),
+    ("mg", {}, _bad_heap),
+    ("sync", {"damping": 0.7}, _short_best),
+    ("cap", {"capacities": [12] * 4}, _bad_sweep),
+    ("minpart", {"min_participants": 2}, _bad_sweep),
+]
+
+
+def _round0_checkpoint(tmp_path, name, kwargs):
+    """A real checkpoint taken at the round-0 boundary."""
+    instance = random_instance()
+    path = str(tmp_path / f"{name}.ckpt.json")
+    partial = partition(
+        instance, solver=name, seed=3, cancel_token=CountdownToken(0),
+        checkpoint_path=path, **kwargs,
+    )
+    assert partial.stop_reason == "cancelled"
+    return instance, load_checkpoint(path)
+
+
+def _assert_fails_before_round_one(instance, name, kwargs, checkpoint):
+    with recording() as recorder:
+        with pytest.raises(DataError):
+            partition(
+                instance, solver=name, seed=3, resume_from=checkpoint,
+                **kwargs,
+            )
+    assert not [
+        span for span in recorder.spans
+        if span.name == "round" and span.attrs.get("round", 0) >= 1
+    ]
+
+
+class TestCorruptCheckpointFailsClosed:
+    """A corrupt resume checkpoint raises DataError before round 1."""
+
+    @pytest.mark.parametrize(
+        "name,kwargs,corrupt", CORRUPTIONS,
+        ids=[f"{c[0]}-{c[2].__name__.strip('_')}" for c in CORRUPTIONS],
+    )
+    def test_corrupt_solver_state(self, tmp_path, name, kwargs, corrupt):
+        instance, checkpoint = _round0_checkpoint(tmp_path, name, kwargs)
+        corrupt(checkpoint.state, instance.n, instance.k)
+        _assert_fails_before_round_one(instance, name, kwargs, checkpoint)
+
+    @pytest.mark.parametrize("name", sorted({c[0] for c in CORRUPTIONS}))
+    def test_wrong_length_frontier(self, tmp_path, name):
+        kwargs = {c[0]: c[1] for c in CORRUPTIONS}[name]
+        instance, checkpoint = _round0_checkpoint(tmp_path, name, kwargs)
+        checkpoint.frontier = np.ones(instance.n + 1, dtype=bool)
+        _assert_fails_before_round_one(instance, name, kwargs, checkpoint)
+
+    def test_round_trace_must_match_round_index(self, tmp_path):
+        instance, checkpoint = _round0_checkpoint(tmp_path, "gt", {})
+        checkpoint.round_index = 2
+        _assert_fails_before_round_one(instance, "gt", {}, checkpoint)

@@ -134,6 +134,8 @@ def test_cancel_before_first_round(name):
     assert not result.converged
     assert result.stop_reason == "cancelled"
     instance.validate_assignment(result.assignment)
+    # The shared result contract: players the next round would examine.
+    assert 0 < result.extra["remaining_frontier"] <= instance.n
 
 
 def test_sync_max_rounds_exhaustion_reports_stop_reason():
@@ -166,6 +168,7 @@ def test_deadline_on_manual_clock_is_anytime(name):
         assert result.stop_reason == "converged"
     else:
         assert result.stop_reason == "deadline"
+        assert 0 <= result.extra["remaining_frontier"] <= instance.n
     assert potential(instance, result.assignment) <= initial_phi + 1e-9
 
 

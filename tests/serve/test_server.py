@@ -40,6 +40,9 @@ class TestBasics:
         assert "pure" in catalog["backends"]
         aliases = catalog["solvers"]["global_table"]["aliases"]
         assert "gt" in aliases
+        # Only public parameters reach the catalog.
+        for name, entry in catalog["solvers"].items():
+            assert not [p for p in entry["accepts"] if p.startswith("_")], name
 
     def test_unknown_route_404(self, client):
         with pytest.raises(ServerError) as info:
@@ -56,6 +59,19 @@ class TestBasics:
             client.solve({"options": {"sed": 1}})
         with pytest.raises(ConfigurationError, match=r"request\.solver"):
             client.solve({"solver": "magic"})
+        with pytest.raises(
+            ConfigurationError,
+            match=r"request\.solver_kwargs\._checkpoint_solver",
+        ):
+            client.solve(
+                {
+                    "solver": "cap",
+                    "solver_kwargs": {
+                        "capacities": [50] * 8,
+                        "_checkpoint_solver": "RMGP_b",
+                    },
+                }
+            )
         # The server must survive bad requests.
         assert client.health()["status"] == "ok"
 

@@ -87,6 +87,20 @@ class TestSolveRequest:
             SolveRequest.from_dict(
                 {"solver": "gt", "solver_kwargs": {"granularity": 3}}
             )
+        # Solver-internal hooks are not wire parameters.
+        with pytest.raises(
+            ConfigurationError,
+            match=r"request\.solver_kwargs\._checkpoint_solver",
+        ):
+            SolveRequest.from_dict(
+                {
+                    "solver": "cap",
+                    "solver_kwargs": {
+                        "capacities": [5, 5, 5],
+                        "_checkpoint_solver": "RMGP_b",
+                    },
+                }
+            )
 
     def test_solver_kwargs_live_objects_rejected(self):
         with pytest.raises(ConfigurationError, match="not a wire parameter"):
