@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-output perfbench bench bench-full bench-output bench-perf bench-perf-update bench-parallel bench-serve bench-serve-overload serve examples figures clean
+.PHONY: install test test-output perfbench bench bench-full bench-output bench-perf bench-perf-update bench-serve bench-serve-overload serve examples figures clean
 
 install:
 	pip install -e '.[dev]'
@@ -43,12 +43,6 @@ bench-perf:
 bench-perf-update:
 	find benchmarks -name __pycache__ -type d -exec rm -rf {} +
 	$(PYTHON) -B benchmarks/bench_perf_regression.py --update
-
-# Shared-memory backend: speedup-vs-workers curve + byte-identity gate,
-# recorded into benchmarks/history/parallel.jsonl.
-bench-parallel:
-	find benchmarks -name __pycache__ -type d -exec rm -rf {} +
-	$(PYTHON) -B benchmarks/bench_parallel.py
 
 # Solve-service load generator: concurrent mixed-deadline HTTP traffic
 # + one cancelled job, p50/p99/req/s recorded into

@@ -69,11 +69,6 @@ INSTANCES = {
 PROFILES = {
     "smoke": ["fig8-tiny"],
     "core": ["fig8-tiny", "fig8-medium"],
-    # The parallel-backend acceptance profile: the shm keys on the
-    # medium instance, against the same calibration normalization.  The
-    # speedup-vs-workers *curve* lives in bench_parallel.py; this keeps
-    # the shm path inside the statistical regression gate.
-    "parallel": ["fig8-medium"],
 }
 
 SOLVERS = {
@@ -91,17 +86,6 @@ SOLVERS = {
     ),
     "RMGP_b_rand": lambda inst: partition(
         inst, solver="b", init="random", order="random", seed=0
-    ),
-    # Shared-memory worker-pool backend.  Assignments are byte-identical
-    # to the serial keys, so the committed assignment_sha256 for the
-    # _shm4 keys must match RMGP_vec / RMGP_is — drift here means the
-    # merge order broke, not a platform-float wobble.
-    "RMGP_vec_shm4": lambda inst: partition(
-        inst, solver="vec", init="closest", seed=0, backend="shm", workers=4
-    ),
-    "RMGP_is_shm4": lambda inst: partition(
-        inst, solver="is", init="closest", order="given", seed=0,
-        backend="shm", workers=4,
     ),
 }
 
@@ -271,6 +255,14 @@ def run_check(args) -> int:
         history_messages = bench_history.regression_messages(
             past, record, min_samples=args.min_history
         )
+        ungated = bench_history.ungated_keys(
+            past, record, min_samples=args.min_history
+        )
+        for key, count in ungated.items():
+            print(
+                f"history: {key} not gated ({count} prior runs < "
+                f"--min-history {args.min_history})"
+            )
         sink = failures if args.history_check else warnings
         for message in history_messages:
             sink.append(f"history regression: {message}")

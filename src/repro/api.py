@@ -81,16 +81,9 @@ class SolveOptions:
         A checkpoint path or :class:`~repro.runtime.SolveCheckpoint` to
         resume from; the solve replays the interrupted trajectory
         byte-identically.
-    backend / workers:
-        Parallel execution backend (``"pure"``/``"shm"``/``"numba"``)
-        and shm worker-pool size for the solvers that support them
-        (``is``/``vec``/``gt``/``sync``).  ``workers`` defaults to the
-        ``REPRO_WORKERS`` environment variable, then ``os.cpu_count()``;
-        ``workers=1`` is a documented serial fallback (the pure path
-        runs, ``extra`` records why).  Validated at construction:
-        ``workers < 1`` or an unknown backend raises
-        :class:`ConfigurationError`.  Assignments are byte-identical to
-        the pure path on every backend.
+    exact_scale:
+        Lemma 2 integer fixed point for ``is``/``vec`` (a positive int,
+        e.g. ``10**9``); see :mod:`repro.core.exact`.
     """
 
     alpha: Optional[float] = None
@@ -107,8 +100,6 @@ class SolveOptions:
     checkpoint_every: Optional[int] = None
     checkpoint_path: Optional[str] = None
     resume_from: Optional[Any] = None
-    backend: Optional[str] = None
-    workers: Optional[int] = None
     exact_scale: Optional[int] = None
 
     # Assembled into a RuntimeBudget by partition(); never forwarded to
@@ -134,20 +125,12 @@ class SolveOptions:
         "checkpoint_every": (int,),
         "checkpoint_path": (str,),
         "resume_from": (str,),
-        "backend": (str,),
-        "workers": (int,),
         "exact_scale": (int,),
     }
 
     def __post_init__(self) -> None:
-        # Validate the parallel knobs eagerly — a typo'd backend or a
-        # nonsensical worker count should fail at construction, not deep
-        # inside a solve after the instance was built.  resolve_backend
-        # is the single source of truth for both rules.
-        if self.backend is not None or self.workers is not None:
-            from repro.parallel.backend import resolve_backend
-
-            resolve_backend(self.backend, self.workers)
+        # A nonsensical scale should fail at construction, not deep
+        # inside a solve after the instance was built.
         if self.exact_scale is not None and (
             isinstance(self.exact_scale, bool)
             or not isinstance(self.exact_scale, int)

@@ -14,7 +14,9 @@ a half-written history line behind.
 The statistical check flags a key when, against at least
 ``min_samples`` prior runs, the current normalized ratio exceeds both
 ``mean + sigma * stdev`` and ``ratio_threshold * mean`` — the two-sided
-guard keeps noisy-but-tiny samples from tripping it.
+guard keeps noisy-but-tiny samples from tripping it.  Keys with fewer
+prior runs are not gated at all; :func:`ungated_keys` names them so an
+inert gate is visible.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ def make_record(
 
     ``results`` maps ``instance/solver`` keys to the measured numbers
     (``wall_ms`` at minimum); the calibration-normalized ratio is
-    derived here so every record stores it consistently.
+    derived here so every record stores it consistently.  ``cpu_count``
+    records the machine the numbers came from.
     """
     normalized = {}
     for key, measured in results.items():
@@ -77,6 +80,7 @@ def make_record(
         "git_sha": git_revision(repo_root),
         "profile": profile,
         "calibration_ms": calibration_ms,
+        "cpu_count": os.cpu_count(),
         "results": normalized,
     }
 
@@ -130,6 +134,31 @@ def append_run(
     return path
 
 
+def _samples(history: List[Dict[str, Any]]) -> Dict[str, List[float]]:
+    """Normalized ratios per key across ``history``."""
+    samples: Dict[str, List[float]] = {}
+    for record in history:
+        for key, entry in (record.get("results") or {}).items():
+            value = entry.get("normalized")
+            if isinstance(value, (int, float)):
+                samples.setdefault(key, []).append(float(value))
+    return samples
+
+
+def ungated_keys(
+    history: List[Dict[str, Any]],
+    current: Dict[str, Any],
+    min_samples: int = 3,
+) -> Dict[str, int]:
+    """Keys of ``current`` the gate skips: key -> prior samples (< min)."""
+    samples = _samples(history)
+    return {
+        key: len(samples.get(key, []))
+        for key in sorted(current.get("results") or {})
+        if len(samples.get(key, [])) < min_samples
+    }
+
+
 def regression_messages(
     history: List[Dict[str, Any]],
     current: Dict[str, Any],
@@ -142,12 +171,7 @@ def regression_messages(
     Returns one human-readable message per regressed key; an empty list
     means the run is statistically in line with its history.
     """
-    samples: Dict[str, List[float]] = {}
-    for record in history:
-        for key, entry in (record.get("results") or {}).items():
-            value = entry.get("normalized")
-            if isinstance(value, (int, float)):
-                samples.setdefault(key, []).append(float(value))
+    samples = _samples(history)
     messages: List[str] = []
     for key, entry in sorted((current.get("results") or {}).items()):
         value = entry.get("normalized")

@@ -119,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", metavar="PATH",
         help="resume a previously interrupted solve from this checkpoint",
     )
-    _add_backend_arguments(solve)
 
     profile = commands.add_parser(
         "profile", help="run one query under a trace recorder"
@@ -155,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="profile heap allocation per span (tracemalloc; slower)",
     )
-    _add_backend_arguments(profile)
 
     trace = commands.add_parser("trace", help="print the Table 1 trace")
     trace.add_argument("--init", default="closest", choices=["closest", "random"])
@@ -389,30 +387,6 @@ def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    from repro.core.registry import BACKENDS
-
-    parser.add_argument(
-        "--backend", choices=sorted(BACKENDS),
-        help="execution backend for the hot kernels (is/vec/gt/sync); "
-             "assignments are byte-identical to pure on every backend",
-    )
-    parser.add_argument(
-        "--workers", type=int, metavar="N",
-        help="shm worker-pool size (default: REPRO_WORKERS, then "
-             "os.cpu_count(); --workers 1 runs the serial fallback)",
-    )
-
-
-def _backend_kwargs(arguments) -> dict:
-    kwargs = {}
-    if getattr(arguments, "backend", None) is not None:
-        kwargs["backend"] = arguments.backend
-    if getattr(arguments, "workers", None) is not None:
-        kwargs["workers"] = arguments.workers
-    return kwargs
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     arguments = build_parser().parse_args(argv)
@@ -464,7 +438,6 @@ def _run_solve(arguments) -> int:
         realtime_kwargs["checkpoint_every"] = arguments.checkpoint_every
     if arguments.resume is not None:
         realtime_kwargs["resume_from"] = arguments.resume
-    realtime_kwargs.update(_backend_kwargs(arguments))
     result = game.solve(
         method=arguments.method, normalize_method=normalize,
         seed=arguments.seed, **realtime_kwargs,
@@ -528,8 +501,7 @@ def _run_profile(arguments) -> int:
     record = memory_recording if arguments.memory else recording
     with record() as recorder:
         result = partition(
-            instance, solver=arguments.method, seed=arguments.seed,
-            **_backend_kwargs(arguments),
+            instance, solver=arguments.method, seed=arguments.seed
         )
     print(result.summary())
     print()

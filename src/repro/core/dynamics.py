@@ -315,8 +315,6 @@ class RoundLoop:
         self.rounds: List[RoundStats] = []
         self.round_index = 0
         self.converged = False
-        self.engine = None
-        self.backend_info: Dict[str, Any] = {}
 
     # -- solver hooks ---------------------------------------------------
     def init(self, span) -> None:
@@ -368,45 +366,15 @@ class RoundLoop:
         return self.assignment
 
     # -- driver ---------------------------------------------------------
-    def attach_engine(
-        self,
-        backend: Optional[str],
-        workers: Optional[int],
-        exact_scale: Optional[int] = None,
-        with_table: bool = False,
-    ) -> None:
-        """Build the parallel execution engine when one was requested."""
-        if backend is None and workers is None and exact_scale is None:
-            return
-        from repro.parallel.engine import make_engine
-
-        self.engine, self.backend_info = make_engine(
-            self.instance,
-            backend=backend,
-            workers=workers,
-            recorder=self.rec,
-            exact_scale=exact_scale,
-            with_table=with_table,
-            tol=DEVIATION_TOLERANCE,
-        )
-
-    def close(self) -> None:
-        """Release execution resources (runs even when the solve raises)."""
-        if self.engine is not None:
-            self.engine.shutdown()
-
     def run(self, **span_attrs: Any) -> PartitionResult:
         """Initialize or resume, drive rounds to a stop, build the result."""
         instance = self.instance
-        try:
-            with self.rec.span(
-                "solve", solver=self.name, n=instance.n, k=instance.k,
-                **span_attrs,
-            ):
-                self.start()
-                self.drive()
-        finally:
-            self.close()
+        with self.rec.span(
+            "solve", solver=self.name, n=instance.n, k=instance.k,
+            **span_attrs,
+        ):
+            self.start()
+            self.drive()
         return self.result(self.extra())
 
     def start(self) -> None:
@@ -455,7 +423,10 @@ class RoundLoop:
             if checkpoint.rng_state is not None:
                 self.rng.setstate(checkpoint.rng_state)
             self.restore(checkpoint.state)
-        except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
+        except (
+            ConfigurationError, IndexError, KeyError, OverflowError,
+            TypeError, ValueError,
+        ) as exc:
             raise DataError(
                 f"malformed {self.checkpoint_as} checkpoint state: {exc!r}"
             ) from exc

@@ -26,7 +26,6 @@ from repro.core import dynamics
 from repro.core.instance import RMGPInstance
 from repro.core.result import PartitionResult
 from repro.obs.recorder import Recorder
-from repro.parallel.engine import LocalEngine, ShmEngine
 from repro.runtime.budget import RuntimeBudget
 
 
@@ -110,8 +109,6 @@ def _solve_global_table(
     seed: Optional[int] = None,
     warm_start: Optional[np.ndarray] = None,
     max_rounds: int = dynamics.DEFAULT_MAX_ROUNDS,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
     recorder: Optional[Recorder] = None,
     budget: Optional[RuntimeBudget] = None,
     checkpoint_every: Optional[int] = None,
@@ -125,13 +122,6 @@ def _solve_global_table(
     a different order than the incremental ±½·w updates, and a last-ulp
     difference can flip a later argmin — resuming from the stored table
     keeps the trajectory byte-identical.
-
-    ``backend``/``workers``: the ``shm`` backend parallelizes the table
-    *build* (the per-row scatter chunks are byte-identical to the full
-    scatter); the sweep itself is inherently sequential (each move edits
-    friends' rows), so the pool is released right after the build.  The
-    ``numba`` backend jits the sweep loop instead.  Either way the
-    trajectory is byte-identical to the pure path.
     """
     loop = _GlobalTableLoop(
         "RMGP_gt", instance,
@@ -140,7 +130,6 @@ def _solve_global_table(
         resume_from=resume_from,
     )
     loop.init_method, loop.order, loop.warm_start = init, order, warm_start
-    loop.attach_engine(backend, workers, with_table=True)
     return loop.run()
 
 
@@ -152,13 +141,7 @@ class _GlobalTableLoop(dynamics.RoundLoop):
         self.assignment = self.initial_assignment()
         self.sweep = dynamics.player_order(instance, self.order, self.rng)
         with self.rec.span("build_table"):
-            if isinstance(self.engine, ShmEngine):
-                self.table = self.engine.build_table(self.assignment)
-                # The sweep is inherently serial; release the workers
-                # (and the segment) right away.
-                self.engine.shutdown()
-            else:
-                self.table = build_global_table(instance, self.assignment)
+            self.table = build_global_table(instance, self.assignment)
         # Initially dirty = not provably happy, matching Figure 5's first
         # pass.
         self.active = dynamics.ActiveSet(
@@ -179,11 +162,6 @@ class _GlobalTableLoop(dynamics.RoundLoop):
         self.rec.gauge(
             "solver.table_bytes", self.table.nbytes, solver=self.name
         )
-        self.sweep_engine = (
-            self.engine if isinstance(self.engine, LocalEngine) else None
-        )
-        if self.sweep_engine is not None:
-            self.sweep_array = np.asarray(self.sweep, dtype=np.int64)
 
     def state(self):
         return {
@@ -192,21 +170,13 @@ class _GlobalTableLoop(dynamics.RoundLoop):
         }
 
     def step(self):
-        if self.sweep_engine is not None:
-            deviations, examined = self.sweep_engine.table_sweep(
-                self.table, self.assignment, self.active.flags,
-                self.sweep_array,
-            )
-        else:
-            deviations, examined = table_round(
-                self.instance, self.table, self.assignment, self.active,
-                self.sweep,
-            )
+        deviations, examined = table_round(
+            self.instance, self.table, self.assignment, self.active,
+            self.sweep,
+        )
         # A table lookup replaces the k-way Eq. 3 scan: one row argmin per
         # examined player.
         return deviations, examined, examined
 
     def extra(self):
-        extra = {"table_bytes": self.table.nbytes}
-        extra.update(self.backend_info)
-        return extra
+        return {"table_bytes": self.table.nbytes}

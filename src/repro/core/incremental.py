@@ -557,11 +557,6 @@ class IncrementalRMGP:
         except KeyError as exc:
             raise ConfigurationError(f"unknown user {node!r}") from exc
 
-    def _rebuild_adjacency(self, nodes: Iterable[NodeId]) -> None:
-        """Refresh the instance's CSR adjacency after a graph mutation."""
-        del nodes
-        self._touch_adjacency()
-
     def _apply_edge_delta(
         self, u: NodeId, v: NodeId, weight: float, sign: float
     ) -> None:

@@ -4,25 +4,25 @@ Players that share no edge cannot affect each other's best responses, so
 the players are grouped by a proper graph coloring and each color group
 is processed "simultaneously".  Processing a group concurrently is
 semantically identical to processing it sequentially (no two members are
-adjacent), so correctness and convergence are untouched; the benefit is
-wall-clock parallelism.
+adjacent), so correctness and convergence are untouched; in the paper's
+multi-threaded implementation the benefit is wall-clock parallelism.
 
-CPython's GIL limits the real speedup of the thread pool, so results also
-report a *model* critical path — the per-round work under ideal ``T``-way
-parallelism, ``Σ_groups ceil(|G_i| / T)`` players — which is the quantity
-the paper's multi-threaded C++ implementation improves.  Benchmarks show
-both numbers.
+Groups run one after another in-process; results report a *model*
+critical path — the per-round work under ideal ``T``-way parallelism,
+``Σ_groups ceil(|G_i| / T)`` players — which is the quantity the paper's
+multi-threaded C++ implementation improves.  ``threads=T`` only sets
+that model's ``T``; it starts no threads.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core import dynamics
+from repro.core.exact import ExactPayload, exact_batched_moves, exact_payload
 from repro.core.instance import RMGPInstance
 from repro.core.objective import player_strategy_costs
 from repro.core.result import PartitionResult
@@ -61,8 +61,6 @@ def _solve_independent_sets(
     max_rounds: int = dynamics.DEFAULT_MAX_ROUNDS,
     coloring: Optional[Dict] = None,
     threads: int = 1,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
     exact_scale: Optional[int] = None,
     recorder: Optional[Recorder] = None,
     budget: Optional[RuntimeBudget] = None,
@@ -75,18 +73,14 @@ def _solve_independent_sets(
     Parameters
     ----------
     threads:
-        Maximum simultaneously running threads ``T`` (Figure 4).  With
-        ``threads=1`` groups are processed sequentially — the result is
-        identical, only wall time differs.  GIL-bound; superseded by
-        ``backend=``/``workers=`` and mutually exclusive with them.
-    backend / workers:
-        Parallel execution backend (``"pure"``/``"shm"``/``"numba"``)
-        and shm worker count; see :mod:`repro.parallel`.  Assignments
-        stay byte-identical to the pure path for every backend.
+        Figure 4's thread count ``T``, used only for the model critical
+        path in ``extra`` (``model_players_per_round``,
+        ``model_speedup``).  No threads are started: groups run one
+        after another and the result is identical for every ``T``.
     exact_scale:
         When set, best responses use Lemma 2 integer fixed-point
-        arithmetic at this scale (exact, order-free; changes the
-        trajectory vs. the float path but not across backends).
+        arithmetic at this scale (exact and order-free; the trajectory
+        may differ from the float path's).
     coloring:
         Optional pre-computed proper coloring (user id -> color).
     recorder:
@@ -94,15 +88,6 @@ def _solve_independent_sets(
     """
     if threads < 1:
         raise ConfigurationError("threads must be >= 1")
-    wants_engine = (
-        backend is not None or workers is not None or exact_scale is not None
-    )
-    if wants_engine and threads > 1:
-        raise ConfigurationError(
-            "threads (the GIL-bound thread pool) cannot be combined with "
-            "backend=/workers=/exact_scale=; use workers= for real "
-            "parallelism"
-        )
     loop = _IndependentSetsLoop(
         "RMGP_is", instance,
         seed=seed, max_rounds=max_rounds, recorder=recorder, budget=budget,
@@ -111,9 +96,10 @@ def _solve_independent_sets(
     )
     loop.order, loop.warm_start = order, warm_start
     loop.init_method, loop.coloring, loop.threads = init, coloring, threads
-    loop.attach_engine(backend, workers, exact_scale)
-    loop.executor = (
-        ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    loop.exact = (
+        exact_payload(instance, exact_scale)
+        if exact_scale is not None
+        else None
     )
     return loop.run(threads=threads)
 
@@ -163,15 +149,10 @@ class _IndependentSetsLoop(dynamics.RoundLoop):
             examined += len(pending)
             self.active.clear(pending)
             deviations += _process_group(
-                self.instance, self.assignment, pending, self.executor,
-                self.threads, self.active, self.engine,
+                self.instance, self.assignment, pending, self.active,
+                self.exact,
             )
         return deviations, examined, examined * self.instance.k
-
-    def close(self) -> None:
-        if self.executor is not None:
-            self.executor.shutdown(wait=True)
-        super().close()
 
     def extra(self):
         n = self.instance.n
@@ -185,7 +166,8 @@ class _IndependentSetsLoop(dynamics.RoundLoop):
             "sequential_players_per_round": n,
             "model_speedup": (n / critical_path) if critical_path else 1.0,
         }
-        extra.update(self.backend_info)
+        if self.exact is not None:
+            extra["exact_scale"] = self.exact.scale
         return extra
 
 
@@ -205,10 +187,8 @@ def _process_group(
     instance: RMGPInstance,
     assignment: np.ndarray,
     group: Sequence[int],
-    executor: Optional[ThreadPoolExecutor],
-    threads: int,
     active: dynamics.ActiveSet,
-    engine=None,
+    exact: Optional[ExactPayload] = None,
 ) -> int:
     """Best responses for one color group's frontier; returns deviations.
 
@@ -218,28 +198,17 @@ def _process_group(
     "wait for all threads to finish".  Each committed move marks the
     mover's CSR neighbor slice dirty for the following groups/rounds.
 
-    With an ``engine`` the same compute/commit split runs on the
-    parallel backend: the engine returns the group's deviating
-    ``(player, best)`` pairs in member order (chunks are merged in chunk
-    order), so the commit loop below is untouched.
+    With an ``exact`` payload the group's deviating ``(player, best)``
+    pairs come from the Lemma 2 integer kernel, in member order, and
+    are committed by the same loop.
     """
-    if engine is not None:
-        players, bests = engine.scalar_moves(
-            assignment, np.asarray(group, dtype=np.int64)
+    if exact is not None:
+        players, bests = exact_batched_moves(
+            instance, exact, assignment, np.asarray(group, dtype=np.int64)
         )
         moves = list(zip(players.tolist(), bests.tolist()))
-    elif executor is None or len(group) <= threads:
-        moves = _chunk_best_classes(instance, assignment, group)
     else:
-        chunk = math.ceil(len(group) / threads)
-        chunks = [group[i : i + chunk] for i in range(0, len(group), chunk)]
-        futures = [
-            executor.submit(_chunk_best_classes, instance, assignment, c)
-            for c in chunks
-        ]
-        moves = []
-        for future in futures:
-            moves.extend(future.result())
+        moves = _chunk_best_classes(instance, assignment, group)
     deviations = 0
     for player, best in moves:
         assignment[player] = best
@@ -253,9 +222,8 @@ def _chunk_best_classes(
 ) -> List[tuple]:
     """Deviating (player, best class) pairs for non-adjacent players.
 
-    Safe to run concurrently with other chunks of the same group: no
-    member reads another member's strategy (they are non-adjacent), and
-    writes happen only after every chunk finishes.
+    No member reads another member's strategy (they are non-adjacent),
+    and writes happen only after every best response is computed.
     """
     moves = []
     for player in players:

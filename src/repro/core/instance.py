@@ -9,7 +9,7 @@ numpy-backed adjacency so that every solver round runs in
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Sequence
 
 import numpy as np
 
@@ -214,15 +214,13 @@ class RMGPInstance:
         )
         self.max_social_cost = (1.0 - self.alpha) * self._half_strength
 
-    def rebuild_adjacency(self, nodes: Optional[Iterable[NodeId]] = None) -> None:
+    def rebuild_adjacency(self) -> None:
         """Refresh the CSR layout after the underlying graph changed.
 
         Degree changes shift every downstream CSR slice, so the layout is
         rebuilt wholesale — O(|V| + |E|) vectorized work, cheap next to
-        any re-solve.  ``nodes`` is accepted for interface symmetry with
-        the old per-player patching; the rebuild covers them regardless.
+        any re-solve.
         """
-        del nodes  # the flat rebuild refreshes every player
         self._build_adjacency()
 
     def update_edge_weight(self, u: NodeId, v: NodeId, weight: float) -> None:
@@ -258,23 +256,6 @@ class RMGPInstance:
             self.max_social_cost[me] = (
                 (1.0 - self.alpha) * self._half_strength[me]
             )
-
-    def csr_arrays(self) -> Dict[str, np.ndarray]:
-        """The CSR adjacency arrays the parallel backends ship to workers.
-
-        Name -> array for ``indptr``/``indices``/``weights``/
-        ``half_weights`` — exactly the read-only graph state a
-        :class:`repro.parallel.shm.ShmArena` maps once per solve.  The
-        arrays are the live instance buffers, not copies; treat them as
-        read-only (mutate via :meth:`update_edge_weight` /
-        :meth:`rebuild_adjacency` so the derived state stays coherent).
-        """
-        return {
-            "indptr": self.indptr,
-            "indices": self.indices,
-            "weights": self.weights,
-            "half_weights": self.half_weights,
-        }
 
     def neighbors_of(self, players: np.ndarray) -> np.ndarray:
         """Flat neighbor indices of ``players`` (CSR slice concatenation).

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from repro.parallel.backend import KNOWN_BACKENDS, numba_available
-
 from repro.core.baseline import _solve_baseline
 from repro.core.capacitated import _solve_capacitated, _solve_with_minimums
 from repro.core.combined import _solve_all
@@ -113,30 +111,3 @@ def solver_catalog() -> Dict[str, Dict[str, object]]:
     for entry in catalog.values():
         entry["aliases"] = sorted(entry["aliases"])
     return catalog
-
-
-#: Execution backends for the hot kernels (``backend=`` on the parallel
-#: solvers: ``is``/``vec``/``gt``/``sync``).  Every backend produces
-#: assignments byte-identical to ``pure``; see ``docs/DESIGN.md`` §4.5.
-BACKENDS: Dict[str, str] = {
-    "pure": "numpy kernels in-process (the default; always available)",
-    "shm": "persistent worker-process pool over shared-memory CSR arrays",
-    "numba": "jitted loop kernels in-process (falls back to pure when "
-             "numba is not importable)",
-}
-
-assert tuple(BACKENDS) == KNOWN_BACKENDS
-
-
-def backend_available(name: str) -> bool:
-    """Whether ``backend=name`` runs natively (vs. a documented fallback).
-
-    ``numba`` reports availability of the import; requesting it anyway is
-    never an error — the solve falls back to ``pure`` and records the
-    reason in ``PartitionResult.extra["backend_fallback_reason"]``.
-    """
-    if name not in BACKENDS:
-        return False
-    if name == "numba":
-        return numba_available()
-    return True

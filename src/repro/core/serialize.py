@@ -126,8 +126,14 @@ def load_checkpoint(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers malformed JSON and non-UTF-8 bytes alike.
         raise DataError(f"cannot read checkpoint file {path!r}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(
+            f"{path!r} holds a JSON {type(payload).__name__}, expected an "
+            "object"
+        )
     if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise DataError(
             f"{path!r} has format version {payload.get('format_version')}, "

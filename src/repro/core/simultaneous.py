@@ -39,8 +39,6 @@ def _solve_simultaneous(
     warm_start: Optional[np.ndarray] = None,
     max_rounds: int = 200,
     damping: float = 1.0,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
     recorder: Optional[Recorder] = None,
     budget: Optional[RuntimeBudget] = None,
     checkpoint_every: Optional[int] = None,
@@ -75,10 +73,6 @@ def _solve_simultaneous(
         resume_from=resume_from,
     )
     loop.init_method, loop.warm_start, loop.damping = init, warm_start, damping
-    # Synchronous dynamics best-respond against a frozen snapshot, so the
-    # whole population parallelizes trivially; the serial rng draws
-    # (deviators in player order) stay with the master.
-    loop.attach_engine(backend, workers)
     return loop.run(damping=damping)
 
 
@@ -135,29 +129,17 @@ class _SimultaneousLoop(dynamics.RoundLoop):
         damping = self.damping
         proposals = assignment.copy()
         deviations = 0
-        if self.engine is not None:
-            movers, bests = self.engine.scalar_moves(
-                assignment, np.arange(instance.n, dtype=np.int64)
-            )
-            # Same rng stream as the serial loop: draws happen for
-            # deviators only, in ascending player order.
-            deviations = int(movers.size)
-            for player, best in zip(movers.tolist(), bests.tolist()):
+        for player in range(instance.n):
+            costs = player_strategy_costs(instance, assignment, player)
+            current = int(assignment[player])
+            best = int(costs.argmin())
+            if (
+                best != current
+                and costs[best] < costs[current] - dynamics.DEVIATION_TOLERANCE
+            ):
+                deviations += 1
                 if rng.random() < damping:
                     proposals[player] = best
-        else:
-            for player in range(instance.n):
-                costs = player_strategy_costs(instance, assignment, player)
-                current = int(assignment[player])
-                best = int(costs.argmin())
-                if (
-                    best != current
-                    and costs[best]
-                    < costs[current] - dynamics.DEVIATION_TOLERANCE
-                ):
-                    deviations += 1
-                    if rng.random() < damping:
-                        proposals[player] = best
         self.assignment = proposals
         self.previous_phi, self.phi = self.phi, potential(instance, proposals)
         return deviations, instance.n, instance.n * instance.k
@@ -198,7 +180,6 @@ class _SimultaneousLoop(dynamics.RoundLoop):
             "cycle_detected": self.cycle_detected,
             "damping": self.damping,
         }
-        extra.update(self.backend_info)
         if self.runtime is not None and self.runtime.interrupted:
             extra["reported_best_potential"] = self.best_potential
         return extra

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core import dynamics
+from repro.core.exact import ExactPayload, exact_batched_moves, exact_payload
 from repro.core.independent_sets import checked_groups, groups_from_coloring
 from repro.core.instance import RMGPInstance, concat_ranges
 from repro.core.result import PartitionResult
@@ -93,18 +94,6 @@ def _build_batches(
     return batches
 
 
-def _make_batches(
-    instance: RMGPInstance, groups: List[List[int]], engine
-) -> List:
-    """Batches for the round loop: prebuilt incidence arrays on the pure
-    path, bare member arrays when an engine runs the scatter (workers
-    read the CSR arrays from shared memory, so prebuilding per-group
-    incidence copies would be pure overhead)."""
-    if engine is not None:
-        return [np.asarray(group, dtype=np.int64) for group in groups]
-    return _build_batches(instance, groups)
-
-
 def _batch_frontier_round(
     instance: RMGPInstance,
     batch: _GroupBatch,
@@ -155,26 +144,24 @@ def _batch_frontier_round(
     return moved, int(sel.size)
 
 
-def _engine_frontier_round(
+def _exact_frontier_round(
     instance: RMGPInstance,
     members: np.ndarray,
     assignment: np.ndarray,
     active: dynamics.ActiveSet,
-    engine,
+    exact: ExactPayload,
 ) -> tuple:
-    """One group's dirty members evaluated on a parallel backend.
+    """One group's dirty members under Lemma 2 integer arithmetic.
 
     Same frontier selection and commit protocol as
-    :func:`_batch_frontier_round`; only the batch evaluation moves to the
-    engine, whose chunked scatter is byte-identical to the bincount path
-    (chunk keys never mix rows).  No prebuilt ``_GroupBatch`` is needed —
-    the workers read the CSR arrays from shared memory.
+    :func:`_batch_frontier_round`; the integer kernel reads the CSR
+    arrays directly.
     """
     sel = np.flatnonzero(active.flags[members])
     if sel.size == 0:
         return 0, 0
     chosen = members if sel.size == len(members) else members[sel]
-    movers, best = engine.batched_moves(assignment, chosen)
+    movers, best = exact_batched_moves(instance, exact, assignment, chosen)
     active.clear(chosen)
     if movers.size:
         assignment[movers] = best
@@ -189,8 +176,6 @@ def _solve_vectorized(
     warm_start: Optional[np.ndarray] = None,
     max_rounds: int = dynamics.DEFAULT_MAX_ROUNDS,
     coloring: Optional[Dict] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
     exact_scale: Optional[int] = None,
     recorder: Optional[Recorder] = None,
     budget: Optional[RuntimeBudget] = None,
@@ -206,9 +191,8 @@ def _solve_vectorized(
     the groups: batch arrays and per-round costs are pure functions of
     (instance, groups), so a resume rebuilds them bit-identically.
 
-    ``backend``/``workers`` select a parallel execution backend
-    (byte-identical assignments; see :mod:`repro.parallel`) and
-    ``exact_scale`` switches the scatter to Lemma 2 integer fixed point.
+    ``exact_scale`` switches the scatter to Lemma 2 integer fixed point
+    (:mod:`repro.core.exact`).
     """
     loop = _VectorizedLoop(
         "RMGP_vec", instance,
@@ -217,44 +201,46 @@ def _solve_vectorized(
         resume_from=resume_from,
     )
     loop.init_method, loop.warm_start, loop.coloring = init, warm_start, coloring
-    loop.attach_engine(backend, workers, exact_scale)
+    loop.exact = (
+        exact_payload(instance, exact_scale)
+        if exact_scale is not None
+        else None
+    )
     return loop.run()
 
 
 class _VectorizedLoop(dynamics.RoundLoop):
-    """Group-batched frontier rounds (pure numpy or a parallel engine)."""
+    """Group-batched frontier rounds (float or Lemma 2 integer)."""
 
     def init(self, span) -> None:
         self.groups = groups_from_coloring(self.instance, self.coloring)
         self.assignment = self.initial_assignment()
         with self.rec.span("build_batches"):
-            self.batches = _make_batches(self.instance, self.groups, self.engine)
+            self.batches = _build_batches(self.instance, self.groups)
         if span is not None:
             span.attrs["num_groups"] = len(self.groups)
 
     def restore(self, state) -> None:
         self.groups = checked_groups(state["groups"], self.instance.n)
-        self.batches = _make_batches(self.instance, self.groups, self.engine)
+        self.batches = _build_batches(self.instance, self.groups)
 
     def state(self):
         return {"groups": [[int(p) for p in g] for g in self.groups]}
 
     def step(self):
         instance, assignment, active = self.instance, self.assignment, self.active
-        engine = self.engine
+        exact = self.exact
         tol = dynamics.DEVIATION_TOLERANCE
         deviations = 0
         examined = 0
         for batch in self.batches:
-            if engine is not None:
-                if batch.size == 0:
-                    continue
-                moved, seen = _engine_frontier_round(
-                    instance, batch, assignment, active, engine
+            if batch.members.size == 0:
+                continue
+            if exact is not None:
+                moved, seen = _exact_frontier_round(
+                    instance, batch.members, assignment, active, exact
                 )
             else:
-                if batch.members.size == 0:
-                    continue
                 moved, seen = _batch_frontier_round(
                     instance, batch, assignment, active, tol
                 )
@@ -264,5 +250,6 @@ class _VectorizedLoop(dynamics.RoundLoop):
 
     def extra(self):
         extra = {"num_groups": len(self.groups)}
-        extra.update(self.backend_info)
+        if self.exact is not None:
+            extra["exact_scale"] = self.exact.scale
         return extra

@@ -13,13 +13,6 @@ is the causal chain of per-step maxima: for each group of sibling spans
 with the same name (one per slave, or one per delivery) the slowest
 member is on the path and everyone else idles for the difference.
 
-The same machinery covers the shared-memory backend
-(:mod:`repro.parallel`): solver ``round`` spans whose subtree contains
-adopted ``worker.compute`` spans are analyzed exactly like DG rounds —
-per-worker busy time, idle-behind-the-slowest-chunk, and an overall
-straggler named ``worker-N`` — so ``repro analyze`` answers "which
-worker is slow" for a parallel solve with no extra flags.
-
 The serving layer (:mod:`repro.serve`) produces a third trace shape:
 ``serve.request`` > ``serve.queue_wait`` + ``job.solve`` > solver
 spans.  Those are digested into per-request reports — total latency
@@ -42,8 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.recorder import TraceRecorder
 
 #: Spans counted as parallel compute work, grouped per node: DG
-#: slave-side phases and shm-backend worker chunks (repro.parallel).
-_WORK_PREFIXES = ("slave.", "worker.")
+#: slave-side phases.
+_WORK_PREFIXES = ("slave.",)
 #: Spans counted as network time.
 _NET_NAMES = ("net.deliver", "net.exchange")
 
@@ -112,7 +105,7 @@ class TraceReport:
 
     @property
     def straggler(self) -> Optional[str]:
-        """Node (DG slave or shm worker) with the most total busy time."""
+        """DG slave with the most total busy time."""
         busy: Dict[str, float] = defaultdict(float)
         for report in self.rounds:
             for node, seconds in report.slave_busy.items():
@@ -152,19 +145,11 @@ def analyze_records(records: Iterable[Dict[str, Any]]) -> TraceReport:
                 _digest_request(span, children, report.critical_path)
             )
             continue
-        if name not in ("dg.round", "round"):
+        if name != "dg.round":
             continue
         attrs = span.get("attrs") or {}
         round_report = RoundReport(round_index=int(attrs.get("round", -1)))
         _walk_round(span, children, round_report, report.critical_path)
-        if (
-            name == "round"
-            and not round_report.slave_busy
-            and not round_report.deliveries
-        ):
-            # A plain solver round with no adopted worker spans under it
-            # — nothing parallel happened, so there is nothing to digest.
-            continue
         busy = round_report.slave_busy
         if busy:
             straggler = max(busy, key=lambda node: (busy[node], node))

@@ -204,6 +204,11 @@ class SolveCheckpoint:
                 f"checkpoint fingerprint {self.fingerprint} does not match "
                 f"the instance ({expected})"
             )
+        if not np.issubdtype(np.asarray(self.assignment).dtype, np.integer):
+            raise DataError(
+                "checkpoint assignment must have an integer dtype, got "
+                f"{np.asarray(self.assignment).dtype}"
+            )
         try:
             instance.validate_assignment(self.assignment)
         except ConfigurationError as exc:

@@ -15,7 +15,7 @@ configurable full-queue policy (``reject`` → 429 with ``Retry-After``;
 ``shed-expired`` → drop queued requests whose deadline already elapsed
 while waiting, finishing them as ``stop_reason="shed"``), and dequeues
 ``interactive`` ahead of ``batch`` traffic at a configured weight.  The
-previous design queued unboundedly inside a ``ThreadPoolExecutor`` —
+previous design queued unboundedly inside a thread-pool executor —
 under sustained overload ``_jobs``/``_order`` grew without limit because
 only *finished* jobs were ever evicted.
 

@@ -31,8 +31,7 @@ header or body field when the client sends one — malformed headers are
 ignored per the spec's restart semantics — else freshly generated).
 The id is stamped into job envelopes, streaming records and error
 envelopes; the stitched per-request trace (``serve.request`` >
-``serve.queue_wait`` + ``job.solve`` > solver spans, including adopted
-``worker.compute`` RemoteSpans from the shm backend) is served as
+``serve.queue_wait`` + ``job.solve`` > solver spans) is served as
 ``repro-trace/v2`` JSONL at ``GET /v1/jobs/<id>/trace``.  Finished
 traces also feed the always-on flight recorder; 5xx responses, sheds,
 drain start, health transitions to ``overloaded`` and p99 breaches
@@ -41,7 +40,7 @@ dump the last window to ``--flight-dir`` (debounced).
 Endpoints (see ``docs/API.md`` for schemas and curl examples)::
 
     GET    /v1/health       liveness + load state + queue stats
-    GET    /v1/solvers      registry catalog, backends, datasets
+    GET    /v1/solvers      registry catalog and datasets
     POST   /v1/solve        run a solve (sync, async or streaming)
     GET    /v1/jobs         job summaries (newest last)
     GET    /v1/jobs/<id>    one job envelope (result when finished)
@@ -62,7 +61,7 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro import __version__
-from repro.core.registry import BACKENDS, solver_catalog
+from repro.core.registry import solver_catalog
 from repro.errors import ConfigurationError
 from repro.obs.context import TRACEPARENT_HEADER, parse_traceparent
 from repro.obs.exporters import jsonl_lines, prometheus_text
@@ -475,7 +474,6 @@ class SolveServer:
                     200,
                     {
                         "solvers": solver_catalog(),
-                        "backends": dict(BACKENDS),
                         "datasets": list(INSTANCE_DATASETS),
                     },
                 )

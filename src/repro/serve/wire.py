@@ -210,7 +210,7 @@ class SolveRequest:
         )
 
         options = payload.get("options") or {}
-        # Validate eagerly (types, unknown keys, backend/workers) so the
+        # Validate eagerly (types, unknown keys, exact_scale) so the
         # error surfaces as a 400, not inside a worker thread.
         SolveOptions.from_dict(options, field_prefix=f"{path}.options")
 

@@ -31,8 +31,6 @@ _SAMPLE_VALUES = {
     "checkpoint_every": 5,
     "checkpoint_path": "out/ckpt.npz",
     "resume_from": "out/ckpt.npz",
-    "backend": "pure",
-    "workers": 1,
     "exact_scale": 2,
 }
 
@@ -108,8 +106,6 @@ class TestRejections:
             ("max_rounds", "ten"),
             ("warm_start", "012"),
             ("deadline_seconds", "soon"),
-            ("backend", 3),
-            ("workers", 2.0),
             ("exact_scale", False),
         ],
     )
@@ -138,7 +134,8 @@ class TestRejections:
             options.to_dict()
 
     def test_invalid_backend_fails_at_construction(self):
-        with pytest.raises(ConfigurationError):
+        # There is no backend option: any backend is an unknown field.
+        with pytest.raises(ConfigurationError, match="unknown field"):
             SolveOptions.from_dict({"backend": "gpu"})
 
 

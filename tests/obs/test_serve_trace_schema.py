@@ -2,8 +2,8 @@
 
 The trace schema was born for solver/DG traces; the serving layer adds
 new span names (``serve.request``, ``serve.queue_wait``, ``job.solve``),
-per-request meta keys (job/trace_id/solver) and grafts shm-worker
-RemoteSpans under a *served* job.  These tests pin that all of it
+per-request meta keys (job/trace_id/solver), and explicit-time
+RemoteSpans may be grafted under a *served* job.  These tests pin that all of it
 remains valid ``repro-trace/v2`` — via the in-process recorder shapes
 the serve stack builds, and via ``python -m repro.obs.schema`` on a
 written file (exactly what the CI ``serve-trace`` job runs on flight
@@ -41,8 +41,8 @@ def _served_request_recorder(adopt_workers=False):
             with recorder.span("round", index=0):
                 recorder.event("deviation", player=3)
         if adopt_workers:
-            # The same adoption path the shm engine uses: explicit-time
-            # RemoteSpans grafted under the master-side parent span.
+            # The RemoteSpan adoption path (as the DG coordinator uses
+            # it): explicit-time spans grafted under a local parent.
             collector = SpanCollector()
             for chunk in (0, 1):
                 start = recorder.clock()

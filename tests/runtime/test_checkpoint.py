@@ -213,3 +213,30 @@ class TestCorruptCheckpointFailsClosed:
         instance, checkpoint = _round0_checkpoint(tmp_path, "gt", {})
         checkpoint.round_index = 2
         _assert_fails_before_round_one(instance, "gt", {}, checkpoint)
+
+    def _hostile_file(self, tmp_path, write):
+        instance, _ = _round0_checkpoint(tmp_path, "gt", {})
+        path = tmp_path / "gt.ckpt.json"
+        write(path)
+        return instance, str(path)
+
+    def test_top_level_json_must_be_an_object(self, tmp_path):
+        instance, path = self._hostile_file(
+            tmp_path, lambda p: p.write_text("[1, 2, 3]")
+        )
+        _assert_fails_before_round_one(instance, "gt", {}, path)
+
+    def test_non_utf8_file(self, tmp_path):
+        instance, path = self._hostile_file(
+            tmp_path, lambda p: p.write_bytes(b'{"format_version": \xff\xfe}')
+        )
+        _assert_fails_before_round_one(instance, "gt", {}, path)
+
+    def test_assignment_must_have_an_integer_dtype(self, tmp_path):
+        def retag(path):
+            payload = json.loads(path.read_text())
+            payload["checkpoint"]["assignment"]["dtype"] = "float64"
+            path.write_text(json.dumps(payload))
+
+        instance, path = self._hostile_file(tmp_path, retag)
+        _assert_fails_before_round_one(instance, "gt", {}, path)

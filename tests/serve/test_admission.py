@@ -4,7 +4,7 @@ The unit half drives :class:`AdmissionQueue` directly with a manual
 clock (deterministic shedding); the end-to-end half overloads a real
 embedded server and pins the hard bound: the job table never grows past
 ``max_jobs + max_queue + pool_size`` no matter how much work arrives —
-the regression test for the unbounded ``ThreadPoolExecutor`` queue the
+the regression test for the unbounded thread-pool executor queue the
 previous design had.
 """
 

@@ -37,7 +37,7 @@ class TestBasics:
     def test_solver_catalog(self, client):
         catalog = client.solvers()
         assert "global_table" in catalog["solvers"]
-        assert "pure" in catalog["backends"]
+        assert set(catalog) == {"solvers", "datasets"}
         aliases = catalog["solvers"]["global_table"]["aliases"]
         assert "gt" in aliases
         # Only public parameters reach the catalog.
@@ -74,6 +74,30 @@ class TestBasics:
             )
         # The server must survive bad requests.
         assert client.health()["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "field, value", [("workers", 2), ("backend", "shm")]
+    )
+    def test_removed_execution_knobs_are_400_with_field_path(
+        self, client, field, value
+    ):
+        import http.client
+
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
+        try:
+            conn.request(
+                "POST", "/v1/solve",
+                body=json.dumps({"options": {field: value}}).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            assert response.status == 400
+            payload = json.loads(response.read().decode())
+        finally:
+            conn.close()
+        assert payload["error"]["message"].startswith(
+            f"request.options.{field}: unknown field"
+        )
 
     def test_non_json_body_is_400(self, client):
         import http.client

@@ -1,8 +1,7 @@
 """End-to-end request tracing through the serve stack.
 
 The stitched trace of one served job is ``serve.request`` →
-``serve.queue_wait`` + ``job.solve`` → solver spans (and, on the shm
-backend, adopted ``worker.compute`` RemoteSpans).  These tests drive
+``serve.queue_wait`` + ``job.solve`` → solver spans.  These tests drive
 real HTTP through :class:`~repro.serve.client.EmbeddedServer` and
 assert the W3C ``traceparent`` plumbing, the ``GET /v1/jobs/<id>/trace``
 endpoint, and that ``repro analyze`` can tell queue-wait from compute.
@@ -179,28 +178,6 @@ class TestTraceEndpoint:
         assert "queue-wait" in text
         assert "compute" in text
         assert TRACE_ID in text
-
-    def test_worker_remote_spans_adopt_under_served_request(self, client):
-        payload = client.solve(
-            {
-                "instance": {"dataset": "gowalla", "users": 120, "events": 5},
-                "solver": "gt",
-                "options": {"backend": "shm", "workers": 2},
-            }
-        )
-        records = client.job_trace(payload["job"])
-        assert validate_records(records) == []
-        spans = {r["id"]: r for r in records if r.get("type") == "span"}
-        workers = [r for r in spans.values() if r["name"] == "worker.compute"]
-        assert workers, "shm backend should emit worker.compute RemoteSpans"
-        for worker in workers:
-            chain = []
-            cursor = worker
-            while cursor is not None:
-                chain.append(cursor["name"])
-                cursor = spans.get(cursor.get("parent"))
-            assert chain[-1] == "serve.request"
-            assert "job.solve" in chain
 
     def test_unknown_job_404(self, client):
         with pytest.raises(ServerError) as info:
