@@ -38,7 +38,7 @@ bench-output:
 # benchmark bytecode first and run with -B so none is written back.
 bench-perf:
 	find benchmarks -name __pycache__ -type d -exec rm -rf {} +
-	$(PYTHON) -B benchmarks/bench_perf_regression.py --check --profile core
+	$(PYTHON) -B benchmarks/bench_perf_regression.py --check --profile core --strict
 
 bench-perf-update:
 	find benchmarks -name __pycache__ -type d -exec rm -rf {} +

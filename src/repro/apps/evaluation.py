@@ -61,10 +61,11 @@ def user_satisfaction(
     instance.validate_assignment(assignment)
     assignment = np.asarray(assignment)
     scores = []
+    indptr = instance.indptr.tolist()
     for player in range(instance.n):
         row = instance.cost.row(player)
         klass = int(assignment[player])
-        idx = instance.neighbor_indices[player]
+        idx = instance.indices[indptr[player] : indptr[player + 1]]
         together = int((assignment[idx] == klass).sum()) if idx.size else 0
         scores.append(
             UserSatisfaction(

@@ -104,14 +104,14 @@ def _expansion_move(
     beta = 1.0 - alpha
     n = instance.n
 
-    # Count auxiliary nodes (one per currently-cut edge).
-    edges = []
-    for player in range(n):
-        idx = instance.neighbor_indices[player]
-        wts = instance.neighbor_weights[player]
-        for neighbor, weight in zip(idx, wts):
-            if int(neighbor) > player:
-                edges.append((player, int(neighbor), float(weight)))
+    # Count auxiliary nodes (one per currently-cut edge).  Each edge is
+    # listed once, from the CSR row of its lower-index endpoint.
+    upper = instance.indices > instance.edge_owner
+    edges = list(zip(
+        instance.edge_owner[upper].tolist(),
+        instance.indices[upper].tolist(),
+        instance.weights[upper].tolist(),
+    ))
     mixed = [
         (u, v, w) for u, v, w in edges if assignment[u] != assignment[v]
     ]

@@ -50,14 +50,13 @@ def solve_exact(
     position = {player: i for i, player in enumerate(order)}
 
     # For each player, the already-placed neighbors (by branch order).
+    indptr = instance.indptr.tolist()
     placed_neighbors: List[List[tuple]] = []
     for player in order:
+        row = slice(indptr[player], indptr[player + 1])
         earlier = [
             (int(nbr), float(w))
-            for nbr, w in zip(
-                instance.neighbor_indices[player],
-                instance.neighbor_weights[player],
-            )
+            for nbr, w in zip(instance.indices[row], instance.weights[row])
             if position[int(nbr)] < position[player]
         ]
         placed_neighbors.append(earlier)

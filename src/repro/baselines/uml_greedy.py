@@ -112,10 +112,12 @@ def _isolate_class(
         network.add_edge(source, local, alpha * alternative)
         network.add_edge(local, sink, alpha * row[klass])
 
+    indptr = instance.indptr.tolist()
     for i, player in enumerate(unlabeled):
-        neighbors = instance.neighbor_indices[player]
-        weights = instance.neighbor_weights[player]
-        for neighbor, weight in zip(neighbors, weights):
+        row = slice(indptr[player], indptr[player + 1])
+        for neighbor, weight in zip(
+            instance.indices[row], instance.weights[row]
+        ):
             other = local_of.get(int(neighbor))
             if other is not None and other > i:
                 network.add_undirected_edge(i, other, (1.0 - alpha) * weight)

@@ -76,9 +76,7 @@ def run_churn(
         for i in range(num_batches)
     ]
 
-    # The engine churns its instance's graph in place — give it a
-    # private clone so `base` stays the pristine replay root.
-    engine = IncrementalRMGP(apply_mutations(base, []), seed=seed)
+    engine = IncrementalRMGP(base, seed=seed)
     feed = MutationFeed(engine)
     # The cold path maintains its own rolling instance: each timed lap
     # pays for applying the batch *and* the full re-solve — the same

@@ -187,6 +187,7 @@ def class_profiles(
     instance.validate_assignment(assignment)
     assignment = np.asarray(assignment)
     profiles = []
+    indptr = instance.indptr.tolist()
     for klass, label in enumerate(instance.classes):
         members = np.flatnonzero(assignment == klass)
         cost = float(
@@ -194,11 +195,9 @@ def class_profiles(
         )
         internal = external = 0.0
         for player in members:
-            idx = instance.neighbor_indices[int(player)]
-            wts = instance.neighbor_weights[int(player)]
-            if idx.size == 0:
-                continue
-            same = assignment[idx] == klass
+            row = slice(indptr[player], indptr[player + 1])
+            wts = instance.weights[row]
+            same = assignment[instance.indices[row]] == klass
             internal += float(wts[same].sum())
             external += float(wts[~same].sum())
         profiles.append(

@@ -147,7 +147,8 @@ def _best_response_round(
     examined = 0
     tol = dynamics.DEVIATION_TOLERANCE
     flags = active.flags
-    neighbor_views = instance.neighbor_indices
+    indices = instance.indices
+    indptr = instance.indptr.tolist()
     for player in sweep:
         if not flags[player]:
             continue
@@ -159,7 +160,7 @@ def _best_response_round(
         if best != current and costs[best] < costs[current] - tol:
             assignment[player] = best
             deviations += 1
-            flags[neighbor_views[player]] = True
+            flags[indices[indptr[player] : indptr[player + 1]]] = True
     return deviations, examined
 
 

@@ -38,15 +38,17 @@ def build_pruned_table(
     """Global table restricted to valid strategies (pruned = ``+inf``)."""
     alpha = instance.alpha
     table = np.full((instance.n, instance.k), np.inf, dtype=np.float64)
+    indptr = instance.indptr.tolist()
     for player in range(instance.n):
         valid = plan.valid_classes[player]
         table[player, valid] = (
             alpha * instance.cost.row(player)[valid]
             + instance.max_social_cost[player]
         )
-        idx = instance.neighbor_indices[player]
+        row = slice(indptr[player], indptr[player + 1])
+        idx = instance.indices[row]
         if idx.size:
-            refund = (1.0 - alpha) * 0.5 * instance.neighbor_weights[player]
+            refund = (1.0 - alpha) * 0.5 * instance.weights[row]
             # Refunds on pruned classes act on +inf and leave them invalid.
             np.subtract.at(table[player], assignment[idx], refund)
     return table
@@ -147,6 +149,8 @@ class _CombinedLoop(dynamics.RoundLoop):
         tol = dynamics.DEVIATION_TOLERANCE
         deviations = 0
         examined = 0
+        indices, weights = instance.indices, instance.weights
+        indptr = instance.indptr.tolist()
         for group in self.groups:
             # Members are non-adjacent: their best responses are mutually
             # independent, so this sweep equals a simultaneous update.
@@ -161,9 +165,8 @@ class _CombinedLoop(dynamics.RoundLoop):
                     continue
                 assignment[player] = best
                 deviations += 1
-                idx = instance.neighbor_indices[player]
-                wts = instance.neighbor_weights[player]
-                for friend, weight in zip(idx, wts):
+                row = slice(indptr[player], indptr[player + 1])
+                for friend, weight in zip(indices[row], weights[row]):
                     delta = half * weight
                     table[friend, best] -= delta
                     table[friend, current] += delta

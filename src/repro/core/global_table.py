@@ -77,8 +77,8 @@ def table_round(
     half = (1.0 - instance.alpha) * 0.5
     tol = dynamics.DEVIATION_TOLERANCE
     flags = active.flags
-    neighbor_views = instance.neighbor_indices
-    weight_views = instance.neighbor_weights
+    indices, weights = instance.indices, instance.weights
+    indptr = instance.indptr.tolist()
     for player in sweep:
         if not flags[player]:
             continue
@@ -93,12 +93,11 @@ def table_round(
         # of each friend's row move by ½·w, one vectorized update.
         assignment[player] = best
         deviations += 1
-        idx = neighbor_views[player]
-        if idx.size:
-            deltas = half * weight_views[player]
-            table[idx, best] -= deltas
-            table[idx, current] += deltas
-            flags[idx] = True
+        slots = slice(indptr[player], indptr[player + 1])
+        idx, deltas = indices[slots], half * weights[slots]
+        table[idx, best] -= deltas
+        table[idx, current] += deltas
+        flags[idx] = True
     return deviations, examined
 
 

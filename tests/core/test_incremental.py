@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro import partition
-from repro.core import IncrementalRMGP, build_global_table, is_nash_equilibrium
+from repro.core import (
+    IncrementalRMGP,
+    RMGPInstance,
+    build_global_table,
+    is_nash_equilibrium,
+)
 from repro.errors import ConfigurationError
 
 from tests.core.conftest import random_instance
@@ -141,3 +146,49 @@ class TestRepeatedUpdates:
         value = engine.current_value()
         direct = objective(engine.instance, engine.assignment)
         assert value.total == pytest.approx(direct.total)
+
+
+def _snapshot(instance):
+    return (
+        {(frozenset((u, v)), w) for u, v, w in instance.graph.edges()},
+        instance.graph.nodes(),
+        instance.indptr.tobytes(),
+        instance.indices.tobytes(),
+        instance.weights.tobytes(),
+    )
+
+
+def _mutate(engine):
+    nodes = engine.instance.node_ids
+    u, v, _ = next(iter(engine.instance.graph.edges()))
+    engine.remove_edge(u, v)
+    for w in nodes[1:]:
+        if not engine.instance.graph.has_edge(nodes[0], w):
+            engine.add_edge(nodes[0], w, weight=2.5)
+            break
+    engine.add_vertex("newcomer", [0.5] * engine.instance.k, [(nodes[2], 1.0)])
+    engine.remove_vertex(nodes[3])
+    engine.resolve()
+
+
+class TestCallerIsolation:
+    """The engine churns a private graph; the caller's instance is inert."""
+
+    def test_mutations_leave_caller_instance_unchanged(self, instance):
+        before = _snapshot(instance)
+        _mutate(IncrementalRMGP(instance, seed=0))
+        assert _snapshot(instance) == before
+        # The caller's CSR still describes its (unchanged) graph.
+        fresh = RMGPInstance(
+            instance.graph.copy(), instance.classes, instance.cost,
+            alpha=instance.alpha,
+        )
+        assert _snapshot(fresh) == before
+
+    def test_restored_engine_leaves_caller_instance_unchanged(
+        self, instance
+    ):
+        checkpoint = IncrementalRMGP(instance, seed=0).to_checkpoint()
+        before = _snapshot(instance)
+        _mutate(IncrementalRMGP.from_checkpoint(instance, checkpoint))
+        assert _snapshot(instance) == before

@@ -78,12 +78,11 @@ def test_incremental_consistency_under_any_script(script, seed):
     # Invariant 2: the final state is a Nash equilibrium.
     assert is_nash_equilibrium(engine.instance, engine.assignment)
     # Invariant 3: adjacency caches agree with the mutated graph.
+    indptr = engine.instance.indptr
     for player, node in enumerate(engine.instance.node_ids):
         neighbors = engine.instance.graph.neighbors(node)
-        cached = {
-            engine.instance.node_ids[int(i)]
-            for i in engine.instance.neighbor_indices[player]
-        }
+        row = engine.instance.indices[indptr[player] : indptr[player + 1]]
+        cached = {engine.instance.node_ids[int(i)] for i in row}
         assert cached == set(neighbors)
         assert engine.instance.half_strength[player] == pytest.approx(
             0.5 * sum(neighbors.values())

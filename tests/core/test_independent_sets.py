@@ -22,7 +22,10 @@ class TestGroups:
         for group in groups:
             members = set(group)
             for player in group:
-                neighbors = set(instance.neighbor_indices[player].tolist())
+                row = slice(
+                    instance.indptr[player], instance.indptr[player + 1]
+                )
+                neighbors = set(instance.indices[row].tolist())
                 assert not (neighbors & members)
 
     def test_accepts_explicit_coloring(self, instance):

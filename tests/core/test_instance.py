@@ -44,9 +44,10 @@ class TestConstruction:
         graph = small_graph()
         instance = RMGPInstance(graph, ["a"], np.zeros((3, 1)))
         v_index = instance.index_of["v"]
-        neighbors = set(instance.neighbor_indices[v_index].tolist())
+        row = slice(instance.indptr[v_index], instance.indptr[v_index + 1])
+        neighbors = set(instance.indices[row].tolist())
         assert neighbors == {instance.index_of["u"], instance.index_of["w"]}
-        assert sorted(instance.neighbor_weights[v_index].tolist()) == [2.0, 3.0]
+        assert sorted(instance.weights[row].tolist()) == [2.0, 3.0]
 
     def test_half_strength(self):
         instance = RMGPInstance(small_graph(), ["a"], np.zeros((3, 1)))
