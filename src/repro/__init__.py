@@ -78,7 +78,7 @@ from repro.runtime import (
     SteppingClock,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "CancelToken",

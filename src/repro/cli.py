@@ -47,6 +47,11 @@ Commands
     ``repro-trace/v2``, list the captured traces, and print the
     critical-path report of what the server was doing when the
     trigger fired.
+``validate``
+    Check one artifact file — a ``repro-trace`` JSONL trace or flight
+    dump, a Chrome trace, a ``repro-result/v1`` payload or a
+    ``repro-error/v1`` envelope — against its schema (exit 0 conforms,
+    1 violations, 2 usage; see :mod:`repro.obs.validate`).
 """
 
 from __future__ import annotations
@@ -375,6 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     flight.add_argument(
         "dump", help="flight-*.trace.jsonl file written by the server"
     )
+
+    validate = commands.add_parser(
+        "validate", help="check an artifact file against its schema"
+    )
+    validate.add_argument(
+        "path",
+        help="trace JSONL, flight dump, Chrome trace, result payload or "
+             "error envelope",
+    )
     return parser
 
 
@@ -403,6 +417,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": _run_serve,
         "top": _run_top,
         "flight": _run_flight,
+        "validate": _run_validate,
     }[arguments.command]
     return handler(arguments)
 
@@ -549,18 +564,39 @@ def _run_trace(arguments) -> int:
     return 0
 
 
-def _run_analyze(arguments) -> int:
-    from repro.obs.analysis import analyze_trace_file, format_report
-    from repro.obs.schema import validate_trace_file
+def _echo(text: str) -> None:
+    """``print`` that escapes what UTF-8 cannot encode: lone surrogates
+    from JSON ``\\ud800`` escapes or undecodable file names."""
+    print(text.encode("utf-8", "backslashreplace").decode("utf-8"))
 
-    errors = validate_trace_file(arguments.trace)
+
+def _print_violations(path: str, errors: List[str]) -> None:
+    _echo(f"{path}: {len(errors)} schema violation(s)")
+    for error in errors:
+        _echo(f"  - {error}")
+
+
+def _read_trace(path: str):
+    """Records of a schema-valid trace file, or None after listing
+    its violations."""
+    from repro.obs.schema import validate_records
+    from repro.obs.validate import read_artifact
+
+    records, errors = read_artifact(path)
+    errors = errors or validate_records(records)
     if errors:
-        print(f"{arguments.trace}: {len(errors)} schema violation(s)")
-        for error in errors:
-            print(f"  - {error}")
+        _print_violations(path, errors)
+        return None
+    return records
+
+
+def _run_analyze(arguments) -> int:
+    from repro.obs.analysis import analyze_records, format_report
+
+    records = _read_trace(arguments.trace)
+    if records is None:
         return 1
-    report = analyze_trace_file(arguments.trace)
-    print(format_report(report, max_path=arguments.top))
+    _echo(format_report(analyze_records(records), max_path=arguments.top))
     return 0
 
 
@@ -780,13 +816,26 @@ def _run_top(arguments) -> int:
 
 
 def _run_flight(arguments) -> int:
+    from repro.obs.exporters import SCHEMA_VERSION
     from repro.obs.flight import inspect_dump
 
-    try:
-        print(inspect_dump(arguments.dump))
-    except (OSError, ValueError) as exc:
-        print(f"{arguments.dump}: {exc}", file=sys.stderr)
+    records = _read_trace(arguments.dump)
+    if records is None:
         return 1
+    _echo(f"flight dump: {arguments.dump}")
+    _echo(f"schema: valid {SCHEMA_VERSION}")
+    _echo(inspect_dump(records))
+    return 0
+
+
+def _run_validate(arguments) -> int:
+    from repro.obs.validate import validate_file
+
+    errors = validate_file(arguments.path)
+    if errors:
+        _print_violations(arguments.path, errors)
+        return 1
+    _echo(f"{arguments.path}: conforms")
     return 0
 
 

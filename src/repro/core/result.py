@@ -128,8 +128,8 @@ class PartitionResult:
         One contract for every consumer — library callers, CLI
         ``--json``, checkpoint metadata and the HTTP wire
         (``POST /v1/solve``) all read this exact shape, validated by
-        :mod:`repro.core.result_schema` (runnable:
-        ``python -m repro.core.result_schema result.json``).  Consumers
+        :mod:`repro.core.result_schema` (on a file:
+        ``repro validate result.json``).  Consumers
         may *add* top-level keys (the CLI adds ``dataset``); the keys
         emitted here are versioned and only change with the schema tag.
 

@@ -10,21 +10,13 @@ closed key set for the nested objects.  *Top-level* extension keys are
 allowed — consumers annotate results (the CLI adds ``dataset``, the
 server adds ``job``) without breaking the schema.
 
-Usable as a library (:func:`validate_result`,
-:func:`validate_result_file`) and as a command — the CI serve-smoke
-gate::
-
-    python -m repro.core.result_schema result.json
-
-Exit status 0 means the payload conforms; 1 lists the violations; 2 is
-a usage error.  Files may hold a single JSON object or JSONL with one
-payload per line.
+``repro validate result.json`` runs :func:`validate_result` on a file
+holding one payload or JSONL with one payload per line.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -181,9 +173,12 @@ def validate_result(payload: Any) -> List[str]:
     assignment = payload.get("assignment")
     if assignment is not None:
         if not isinstance(assignment, list) or any(
-            isinstance(x, bool) or not isinstance(x, int) for x in assignment
+            isinstance(x, bool)
+            or not isinstance(x, int)
+            or not -(2**63) <= x < 2**63
+            for x in assignment
         ):
-            errors.append("assignment: expected a list of integers")
+            errors.append("assignment: expected a list of int64 integers")
         else:
             if len(assignment) != payload["n"]:
                 errors.append(
@@ -201,51 +196,3 @@ def validate_result(payload: Any) -> List[str]:
                     "match assignment_sha256"
                 )
     return errors
-
-
-def validate_result_file(path: str) -> List[str]:
-    """Validate a JSON (or JSONL) file of result payloads."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        return [f"{path}: {exc}"]
-    try:
-        payloads = [json.loads(text)]
-    except json.JSONDecodeError:
-        payloads = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                payloads.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                return [f"{path}:{lineno}: not valid JSON ({exc})"]
-        if not payloads:
-            return [f"{path}: empty file"]
-    errors: List[str] = []
-    for index, payload in enumerate(payloads):
-        prefix = f"payload {index}: " if len(payloads) > 1 else ""
-        errors.extend(prefix + message for message in validate_result(payload))
-    return errors
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if len(argv) != 1:
-        print(
-            "usage: python -m repro.core.result_schema <result.json>",
-            file=sys.stderr,
-        )
-        return 2
-    errors = validate_result_file(argv[0])
-    if errors:
-        for message in errors:
-            print(message, file=sys.stderr)
-        return 1
-    print(f"{argv[0]}: conforms to {RESULT_SCHEMA_VERSION}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    sys.exit(main())

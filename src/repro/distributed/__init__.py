@@ -38,11 +38,6 @@ from repro.distributed.partitioner import (
 )
 from repro.distributed.query import DGQuery
 from repro.distributed.slave import SlaveInitReport, SlaveNode
-from repro.distributed.trace import (
-    FaultTracingNetwork,
-    TracedMessage,
-    TracingNetwork,
-)
 
 __all__ = [
     "ChannelState",
@@ -56,7 +51,6 @@ __all__ = [
     "DistributedColoringStats",
     "FaEResult",
     "FaultPlan",
-    "FaultTracingNetwork",
     "FaultyNetwork",
     "InjectedFault",
     "Message",
@@ -69,8 +63,6 @@ __all__ = [
     "SimulatedNetwork",
     "SlaveInitReport",
     "SlaveNode",
-    "TracedMessage",
-    "TracingNetwork",
     "build_cluster",
     "cross_shard_edges",
     "distributed_coloring",

@@ -13,14 +13,16 @@ surface without perturbing the hot path:
   size, moves, Eq. 3 cost evaluations, potential delta).
 * :mod:`~repro.obs.exporters` — JSONL trace files (``repro-trace/v2``),
   Prometheus-style text dumps and a human summary tree.
-* :mod:`~repro.obs.schema` — validation for the JSONL schema (also
-  runnable: ``python -m repro.obs.schema trace.jsonl``).
+* :mod:`~repro.obs.schema` — validation for the JSONL schema.
+* :mod:`~repro.obs.validate` — the one artifact reader and checker
+  behind ``repro validate FILE`` (traces, flight dumps, Chrome traces,
+  result payloads, error envelopes); not imported by this package.
 * :mod:`~repro.obs.context` — causal trace propagation across the
   simulated cluster (master, slaves, network) for the DG framework.
 * :mod:`~repro.obs.analysis` — critical-path / straggler / retry
   analysis of distributed traces.
 * :mod:`~repro.obs.chrome` — Chrome trace-event (Perfetto-loadable)
-  export, also runnable as a validator.
+  export and its validator.
 * :mod:`~repro.obs.memory` — ``tracemalloc``-backed memory recorder
   attaching peak/net heap allocation to every span.
 
@@ -41,14 +43,9 @@ from repro.obs.analysis import (
     TraceReport,
     analyze_recorder,
     analyze_records,
-    analyze_trace_file,
     format_report,
 )
-from repro.obs.chrome import (
-    chrome_trace,
-    validate_chrome_file,
-    write_chrome_trace,
-)
+from repro.obs.chrome import chrome_trace, write_chrome_trace
 from repro.obs.clock import ManualClock, MonotonicClock
 from repro.obs.context import (
     TRACEPARENT_HEADER,
@@ -92,7 +89,7 @@ from repro.obs.recorder import (
     recording,
     use_recorder,
 )
-from repro.obs.schema import validate_records, validate_trace_file
+from repro.obs.schema import validate_records
 from repro.obs.spans import Span
 
 __all__ = [
@@ -122,7 +119,6 @@ __all__ = [
     "active_recorder",
     "analyze_recorder",
     "analyze_records",
-    "analyze_trace_file",
     "chrome_trace",
     "current_recorder",
     "format_report",
@@ -139,9 +135,7 @@ __all__ = [
     "summary_tree",
     "trace_records",
     "use_recorder",
-    "validate_chrome_file",
     "validate_records",
-    "validate_trace_file",
     "write_chrome_trace",
     "write_jsonl",
 ]

@@ -21,12 +21,13 @@ analyze`` answers "was this slow request queued or computing" straight
 from ``GET /v1/jobs/<id>/trace`` output or a flight-recorder dump.
 
 Works on exported JSONL records as well as live recorders, so the CLI
-(``repro analyze trace.jsonl``) and tests share one implementation.
+(``repro analyze trace.jsonl``, which reads the file with
+:func:`repro.obs.validate.read_artifact`) and tests share one
+implementation.
 """
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
@@ -269,17 +270,6 @@ def analyze_recorder(recorder: "TraceRecorder") -> TraceReport:
     from repro.obs.exporters import trace_records
 
     return analyze_records(list(trace_records(recorder)))
-
-
-def analyze_trace_file(path: str) -> TraceReport:
-    """Analyze an exported JSONL trace file."""
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return analyze_records(records)
 
 
 # ----------------------------------------------------------------------

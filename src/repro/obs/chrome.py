@@ -5,18 +5,14 @@ every span becomes a complete event (``ph="X"``) on the track of the
 node it ran on (master, each slave, the network), span events become
 instant events (``ph="i"``), and each track is named via ``ph="M"``
 thread-name metadata.  Timestamps are microseconds, shifted so the
-earliest span starts at 0.
-
-Also a command — validates an exported file::
-
-    python -m repro.obs.chrome trace.json
+earliest span starts at 0.  :func:`validate_chrome` checks an export;
+``repro validate trace.json`` runs it on a file.
 """
 
 from __future__ import annotations
 
 import json
-import sys
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.recorder import TraceRecorder
@@ -144,32 +140,3 @@ def validate_chrome(trace: Any) -> List[str]:
         if "args" in event and not isinstance(event["args"], dict):
             errors.append(f"{where}: 'args' must be an object")
     return errors
-
-
-def validate_chrome_file(path: str) -> List[str]:
-    """Violations of an exported Chrome trace file (empty = valid)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            trace = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"unreadable trace: {exc}"]
-    return validate_chrome(trace)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if len(argv) != 1:
-        print("usage: python -m repro.obs.chrome TRACE.json", file=sys.stderr)
-        return 2
-    errors = validate_chrome_file(argv[0])
-    if errors:
-        print(f"{argv[0]}: {len(errors)} violation(s)")
-        for error in errors:
-            print(f"  - {error}")
-        return 1
-    print(f"{argv[0]}: valid Chrome trace")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    sys.exit(main())

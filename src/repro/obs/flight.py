@@ -20,7 +20,7 @@ Design constraints, in order:
   monotonic namespace at append time.  At dump time, spans whose parent
   fell out of the window are re-parented to root and events whose span
   is gone are dropped — the result always passes
-  ``python -m repro.obs.schema``.
+  ``repro validate``.
 * **Debounced.** A 500-storm must produce one dump, not one per
   failure: triggers inside ``debounce_seconds`` of the last dump are
   counted but suppressed (``force=True`` — the manual debug endpoint —
@@ -317,32 +317,20 @@ class FlightRecorder:
 
 
 # ----------------------------------------------------------------------
-def inspect_dump(path: str) -> str:
+def inspect_dump(records: List[Dict[str, Any]]) -> str:
     """Human-readable digest of one flight dump (``repro flight``).
 
-    Validates the dump against the trace schema, summarizes the window
+    ``records`` are the dump's parsed lines, already read and checked
+    against the trace schema (:func:`repro.obs.validate.read_artifact`,
+    :func:`repro.obs.schema.validate_records`).  Summarizes the window
     (reason, trace ids, span counts) and runs the critical-path
     analysis on whatever rounds the window captured.
     """
     from repro.obs.analysis import analyze_records, format_report
-    from repro.obs.schema import validate_records
 
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    lines: List[str] = [f"flight dump: {path}"]
-    errors = validate_records(records)
-    if errors:
-        lines.append(f"SCHEMA INVALID ({len(errors)} violation(s)):")
-        lines.extend(f"  - {error}" for error in errors[:10])
-    else:
-        lines.append(f"schema: valid {SCHEMA_VERSION}")
-    meta = records[0] if records else {}
-    flight = meta.get("flight") or {}
-    if flight:
+    lines: List[str] = []
+    flight = records[0].get("flight") if records else None
+    if isinstance(flight, dict) and flight:
         lines.append(
             f"trigger: {flight.get('reason')}"
             + (

@@ -9,22 +9,19 @@ deliberately not enforced: master spans run on the recorder's wall
 clock while adopted remote spans live on the shifted simulated
 timeline, so a child may legitimately extend past its parent.
 
-Usable as a library (:func:`validate_records`, :func:`validate_trace_file`)
-and as a command — the CI trace-artifact gate::
-
-    python -m repro.obs.schema trace.jsonl
-
-Exit status 0 means every record conforms; 1 lists the violations; 2 is
-a usage error.
+Ill-typed outside input is a violation, never an exception: a
+non-string ``type``, a non-integer span reference and a non-list
+histogram field are all reported, and ``bool`` is not accepted where
+an integer or number is required (it subclasses ``int``).  Files are
+read and dispatched here by :func:`repro.obs.validate.validate_file`
+(``repro validate trace.jsonl``).
 """
 
 from __future__ import annotations
 
-import json
-import sys
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
-from repro.obs.exporters import SCHEMA_VERSION, SCHEMA_VERSIONS
+from repro.obs.exporters import SCHEMA_VERSIONS
 
 #: Tolerance for event-inside-span checks (clock rounding).
 _TIME_EPSILON = 1e-6
@@ -65,6 +62,19 @@ _OPTIONAL: Dict[str, Dict[str, tuple]] = {
 }
 
 
+def _typed(value: Any, types: tuple) -> bool:
+    """``isinstance`` that does not let ``bool`` pass as a number."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _within(time: Any, start: Any, end: Any) -> bool:
+    """Whether ``time`` lies in ``[start, end]`` up to clock rounding."""
+    try:
+        return start - _TIME_EPSILON <= time <= end + _TIME_EPSILON
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
 def validate_records(records: Iterable[Dict[str, Any]]) -> List[str]:
     """Schema violations of an iterable of parsed records (empty = valid)."""
     errors: List[str] = []
@@ -85,13 +95,13 @@ def validate_records(records: Iterable[Dict[str, Any]]) -> List[str]:
                     f"{where}: schema {record.get('schema')!r} not one of "
                     f"{list(SCHEMA_VERSIONS)}"
                 )
-        if kind not in _SPEC:
+        if not isinstance(kind, str) or kind not in _SPEC:
             errors.append(f"{where}: unknown type {kind!r}")
             continue
         for key, types in _SPEC[kind].items():
             if key not in record:
                 errors.append(f"{where} ({kind}): missing key {key!r}")
-            elif not isinstance(record[key], types):
+            elif not _typed(record[key], types):
                 errors.append(
                     f"{where} ({kind}): {key!r} has type "
                     f"{type(record[key]).__name__}"
@@ -103,7 +113,7 @@ def validate_records(records: Iterable[Dict[str, Any]]) -> List[str]:
                     f"{type(record[key]).__name__}"
                 )
         if kind == "span" and all(
-            isinstance(record.get(key), _SPEC["span"][key])
+            _typed(record.get(key), _SPEC["span"][key])
             for key in ("id", "parent", "start", "end")
         ):
             if record["end"] < record["start"]:
@@ -122,22 +132,22 @@ def validate_records(records: Iterable[Dict[str, Any]]) -> List[str]:
                     f"{where} (span): duplicate span id {record['id']}"
                 )
             span_times[record["id"]] = (record["start"], record["end"])
-        if kind == "event":
-            span_id = record.get("span")
+        if kind == "event" and _typed(record.get("span"), (int,)):
+            span_id = record["span"]
             if span_id not in span_times:
                 errors.append(f"{where} (event): unknown span {span_id}")
-            elif isinstance(record.get("time"), (int, float)):
+            elif _typed(record.get("time"), (int, float)):
                 start, end = span_times[span_id]
-                if not (
-                    start - _TIME_EPSILON
-                    <= record["time"]
-                    <= end + _TIME_EPSILON
-                ):
+                if not _within(record["time"], start, end):
                     errors.append(
                         f"{where} (event): time {record['time']} outside "
                         f"span {span_id} [{start}, {end}]"
                     )
-        if kind == "histogram" and "boundaries" in record and "counts" in record:
+        if (
+            kind == "histogram"
+            and isinstance(record.get("boundaries"), list)
+            and isinstance(record.get("counts"), list)
+        ):
             if len(record["counts"]) != len(record["boundaries"]) + 1:
                 errors.append(
                     f"{where} (histogram): need len(boundaries)+1 counts"
@@ -145,38 +155,3 @@ def validate_records(records: Iterable[Dict[str, Any]]) -> List[str]:
     if not saw_meta:
         errors.append("trace is empty (no meta record)")
     return errors
-
-
-def validate_trace_file(path: str) -> List[str]:
-    """Schema violations of a JSONL trace file (empty list = valid)."""
-    records: List[Dict[str, Any]] = []
-    errors: List[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {line_number}: invalid JSON ({exc})")
-    return errors + validate_records(records)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if len(argv) != 1:
-        print("usage: python -m repro.obs.schema TRACE.jsonl", file=sys.stderr)
-        return 2
-    errors = validate_trace_file(argv[0])
-    if errors:
-        print(f"{argv[0]}: {len(errors)} schema violation(s)")
-        for error in errors:
-            print(f"  - {error}")
-        return 1
-    print(f"{argv[0]}: valid {SCHEMA_VERSION} trace")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    sys.exit(main())

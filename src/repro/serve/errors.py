@@ -26,15 +26,12 @@ rejections, 503 shed/draining) so re-sending the same request is safe;
 ``false`` means it may have (500 mid-solve failures) or that retrying
 verbatim cannot succeed (400 validation errors).
 
-Runnable validator (exit 0 conforming / 1 violations / 2 usage)::
-
-    python -m repro.serve.errors response.json
+``repro validate response.json`` checks a saved body with
+:func:`validate_error`.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 from typing import Any, Dict, List, Optional
 
 #: Version tag carried in every error body.
@@ -167,34 +164,3 @@ def validate_error(payload: Any) -> List[str]:
         if value is not None and (not isinstance(value, str) or not value):
             errors.append(f"error.{key}: expected a non-empty string")
     return errors
-
-
-def validate_error_file(path: str) -> List[str]:
-    """Validate one JSON file holding a ``repro-error/v1`` body."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"{path}: unreadable or not JSON: {exc}"]
-    return [f"{path}: {message}" for message in validate_error(payload)]
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if len(argv) != 1:
-        print(
-            "usage: python -m repro.serve.errors <error.json>",
-            file=sys.stderr,
-        )
-        return 2
-    errors = validate_error_file(argv[0])
-    if errors:
-        for message in errors:
-            print(message, file=sys.stderr)
-        return 1
-    print(f"{argv[0]}: conforms to {ERROR_SCHEMA_VERSION}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    sys.exit(main())

@@ -583,6 +583,8 @@ class SolveServer:
         }
         if p99 is not None:
             payload["recent_p99_ms"] = p99
+        if self.config.health_p99_ms is not None:
+            payload["health_p99_ms"] = self.config.health_p99_ms
         if self.flight is not None:
             if (
                 status == "overloaded"

@@ -5,13 +5,10 @@ import json
 import pytest
 
 from repro.api import partition
-from repro.core.result_schema import (
-    RESULT_SCHEMA_VERSION,
-    main,
-    validate_result,
-    validate_result_file,
-)
+from repro.cli import main
+from repro.core.result_schema import RESULT_SCHEMA_VERSION, validate_result
 from repro.datasets import paper_example_instance
+from repro.obs.validate import validate_file
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +132,10 @@ class TestViolations:
         broken = dict(payload, assignment=payload["assignment"][:-1])
         assert any("length" in e for e in validate_result(broken))
 
+    def test_assignment_beyond_int64_is_a_violation(self, payload):
+        broken = dict(payload, assignment=[2**63] * payload["n"])
+        assert any("int64" in e for e in validate_result(broken))
+
     def test_malformed_sha(self, payload):
         broken = dict(payload, assignment_sha256="XYZ")
         assert any(
@@ -146,8 +147,8 @@ class TestFileAndCli:
     def test_json_file_ok(self, payload, tmp_path, capsys):
         path = tmp_path / "result.json"
         path.write_text(json.dumps(payload))
-        assert validate_result_file(str(path)) == []
-        assert main([str(path)]) == 0
+        assert validate_file(str(path)) == []
+        assert main(["validate", str(path)]) == 0
         assert "conforms" in capsys.readouterr().out
 
     def test_jsonl_file_with_violation(self, payload, tmp_path, capsys):
@@ -156,15 +157,18 @@ class TestFileAndCli:
         path.write_text(
             json.dumps(payload) + "\n" + json.dumps(broken) + "\n"
         )
-        errors = validate_result_file(str(path))
+        errors = validate_file(str(path))
         assert errors and all(e.startswith("payload 1: ") for e in errors)
-        assert main([str(path)]) == 1
-        assert "payload 1" in capsys.readouterr().err
+        assert main(["validate", str(path)]) == 1
+        assert "payload 1" in capsys.readouterr().out
 
     def test_missing_file(self, tmp_path):
-        errors = validate_result_file(str(tmp_path / "nope.json"))
+        errors = validate_file(str(tmp_path / "nope.json"))
         assert errors
+        assert main(["validate", str(tmp_path / "nope.json")]) == 1
 
     def test_usage_error(self, capsys):
-        assert main([]) == 2
+        with pytest.raises(SystemExit) as info:
+            main(["validate"])
+        assert info.value.code == 2
         assert "usage" in capsys.readouterr().err

@@ -15,7 +15,6 @@ from repro.distributed import (
     CrashEvent,
     DGQuery,
     FaultPlan,
-    FaultTracingNetwork,
     FaultyNetwork,
     ReliableTransport,
     RetryPolicy,
@@ -23,6 +22,7 @@ from repro.distributed import (
 )
 from repro.distributed import messages as msg
 from repro.errors import ConfigurationError, SlaveUnreachableError
+from repro.obs import recording, trace_records
 
 
 @pytest.fixture(scope="module")
@@ -266,22 +266,32 @@ class TestRetryBackoffArithmetic:
             RetryPolicy(jitter=2.0)
 
 
-class TestFaultTracingNetwork:
+class TestDeliverySpanTrace:
     def test_attempt_level_trace(self, dataset, query):
         plan = FaultPlan(seed=1, drop_rate=1.0, max_consecutive_drops=1)
-        net = FaultTracingNetwork(plan)
-        cluster = build_cluster(dataset, num_slaves=2, network=net)
-        cluster.game.run(query)
-        assert net.trace, "no attempts recorded"
-        dropped = net.dropped_attempts()
-        assert dropped and all(not entry.delivered for entry in dropped)
-        # Each dropped attempt is followed by a retransmission of the
-        # same sequence number that eventually lands.
-        delivered_seqs = {
-            (e.sender, e.recipient, e.seq) for e in net.trace if e.delivered
+        cluster = build_cluster(dataset, num_slaves=2, fault_plan=plan)
+        with recording() as recorder:
+            cluster.game.run(query)
+        records = list(trace_records(recorder))
+        deliveries = {
+            r["id"]: r
+            for r in records
+            if r["type"] == "span" and r["name"] == "net.deliver"
         }
-        for entry in dropped:
-            assert (entry.sender, entry.recipient, entry.seq) in delivered_seqs
+        assert deliveries, "no deliveries traced"
+        drops = [
+            r for r in records
+            if r["type"] == "event" and r["name"] == "net.drop"
+        ]
+        assert drops and all(d["span"] in deliveries for d in drops)
+        # Each dropped attempt is followed by a retransmission of the
+        # same (peer, seq) that eventually lands.
+        for drop in drops:
+            attrs = deliveries[drop["span"]]["attrs"]
+            assert attrs["delivered"]
+            assert attrs["attempts"] > drop["attrs"]["attempt"] + 1
+            assert attrs["peer"].startswith("slave-")
+            assert isinstance(attrs["seq"], int)
 
 
 class TestPeerProtocolFaults:

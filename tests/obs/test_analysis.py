@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from repro.obs.analysis import (
-    analyze_records,
-    analyze_trace_file,
-    format_report,
-)
+from repro.obs.analysis import analyze_records, format_report
+from repro.obs.validate import read_artifact
 
 
 def _meta():
@@ -119,5 +116,7 @@ class TestReportFormatting:
         path.write_text(
             "\n".join(json.dumps(r) for r in two_slave_round()) + "\n"
         )
-        report = analyze_trace_file(str(path))
+        records, errors = read_artifact(str(path))
+        assert errors == []
+        report = analyze_records(records)
         assert report.straggler == "slave-1"

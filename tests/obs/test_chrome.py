@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.cli import main
 from repro.obs import ManualClock, TraceRecorder
-from repro.obs.chrome import (
-    chrome_trace,
-    main,
-    validate_chrome,
-    validate_chrome_file,
-    write_chrome_trace,
-)
+from repro.obs.chrome import chrome_trace, validate_chrome, write_chrome_trace
 from repro.obs.context import RemoteSpan
+from repro.obs.validate import validate_file
 
 
 def sample_recorder() -> TraceRecorder:
@@ -89,8 +87,8 @@ class TestValidator:
         assert count == len(
             json.loads(open(path).read())["traceEvents"]
         )
-        assert validate_chrome_file(path) == []
-        assert main([path]) == 0
+        assert validate_file(path) == []
+        assert main(["validate", path]) == 0
 
     def test_malformed_inputs_are_reported(self):
         assert validate_chrome([]) == ["top level must be a JSON object"]
@@ -114,7 +112,9 @@ class TestValidator:
     def test_cli_exit_codes(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"traceEvents": [{"ph": "X"}]}')
-        assert main([str(bad)]) == 1
-        assert main([]) == 2
+        assert main(["validate", str(bad)]) == 1
+        with pytest.raises(SystemExit) as info:
+            main(["validate"])
+        assert info.value.code == 2
         missing = tmp_path / "missing.json"
-        assert main([str(missing)]) == 1
+        assert main(["validate", str(missing)]) == 1

@@ -14,9 +14,9 @@ from repro.obs import (
     summary_tree,
     trace_records,
     validate_records,
-    validate_trace_file,
     write_jsonl,
 )
+from repro.obs.validate import validate_file
 
 
 def sample_recorder() -> TraceRecorder:
@@ -57,7 +57,7 @@ class TestJsonl:
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         assert len(lines) == count
-        assert validate_trace_file(path) == []
+        assert validate_file(path) == []
 
     def test_validator_catches_missing_meta(self):
         records = [json.loads(l) for l in jsonl_lines(sample_recorder())]

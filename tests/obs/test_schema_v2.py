@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import json
 
-from repro.obs.schema import main, validate_records, validate_trace_file
+import pytest
+
+from repro.cli import main
+from repro.obs.schema import validate_records
+from repro.obs.validate import validate_file
 
 
 def _meta(schema="repro-trace/v2"):
@@ -91,6 +95,48 @@ class TestStricterChecks:
         assert any("optional 'node'" in e for e in errors)
 
 
+class TestIllTypedInput:
+    """Outside input of the wrong JSON type is a violation, not a crash."""
+
+    def test_list_type_is_unknown(self):
+        errors = validate_records([_meta(), {"type": ["span"]}])
+        assert any("unknown type ['span']" in e for e in errors)
+
+    def test_list_event_span_is_reported(self):
+        event = {"type": "event", "span": [0], "name": "e", "time": 0.5,
+                 "attrs": {}}
+        errors = validate_records([_meta(), _span(0), event])
+        assert any("'span' has type list" in e for e in errors)
+
+    def test_non_list_histogram_boundaries_are_reported(self):
+        histogram = {"type": "histogram", "name": "h", "labels": {},
+                     "boundaries": 3, "counts": [0], "sum": 0, "count": 0}
+        errors = validate_records([_meta(), histogram])
+        assert any("'boundaries' has type int" in e for e in errors)
+
+    def test_bool_span_id_is_rejected(self):
+        errors = validate_records([_meta(), _span(True)])
+        assert any("'id' has type bool" in e for e in errors)
+
+    def test_bool_parent_id_is_rejected(self):
+        errors = validate_records([_meta(), _span(1), _span(2, parent=True)])
+        assert any("'parent' has type bool" in e for e in errors)
+
+    def test_bool_event_span_is_rejected(self):
+        event = {"type": "event", "span": True, "name": "e", "time": 0.5,
+                 "attrs": {}}
+        errors = validate_records([_meta(), _span(1), event])
+        assert any("'span' has type bool" in e for e in errors)
+
+    def test_time_beyond_float_range_is_outside(self):
+        event = {"type": "event", "span": 0, "name": "e", "time": 0.5,
+                 "attrs": {}}
+        errors = validate_records(
+            [_meta(), _span(0, start=10**400, end=10**400), event]
+        )
+        assert any("outside span 0" in e for e in errors)
+
+
 class TestCommandExitCodes:
     def _write(self, tmp_path, records):
         path = tmp_path / "trace.jsonl"
@@ -101,8 +147,8 @@ class TestCommandExitCodes:
 
     def test_valid_file_exits_zero(self, tmp_path, capsys):
         path = self._write(tmp_path, [_meta(), _span(0)])
-        assert main([path]) == 0
-        assert "valid" in capsys.readouterr().out
+        assert main(["validate", path]) == 0
+        assert "conforms" in capsys.readouterr().out
 
     def test_invalid_file_exits_nonzero_and_lists_errors(
         self, tmp_path, capsys
@@ -110,17 +156,19 @@ class TestCommandExitCodes:
         path = self._write(
             tmp_path, [_meta(), _span(0, start=5.0, end=1.0)]
         )
-        assert main([path]) == 1
+        assert main(["validate", path]) == 1
         out = capsys.readouterr().out
-        assert "schema violation" in out
+        assert "violation" in out
         assert "non-monotonic" in out
 
     def test_usage_error_exits_two(self):
-        assert main([]) == 2
-        assert main(["a", "b"]) == 2
+        for argv in (["validate"], ["validate", "a", "b"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
 
     def test_invalid_json_line_is_located(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text(json.dumps(_meta()) + "\n{broken\n")
-        errors = validate_trace_file(str(path))
+        errors = validate_file(str(path))
         assert any("line 2" in e for e in errors)

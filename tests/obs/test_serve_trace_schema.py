@@ -5,18 +5,18 @@ new span names (``serve.request``, ``serve.queue_wait``, ``job.solve``),
 per-request meta keys (job/trace_id/solver), and explicit-time
 RemoteSpans may be grafted under a *served* job.  These tests pin that all of it
 remains valid ``repro-trace/v2`` — via the in-process recorder shapes
-the serve stack builds, and via ``python -m repro.obs.schema`` on a
-written file (exactly what the CI ``serve-trace`` job runs on flight
-dumps).
+the serve stack builds, and via ``repro validate`` on a written file
+(exactly what the CI ``serve-trace`` job runs on flight dumps).
 """
 
 from __future__ import annotations
 
+from repro.cli import main
 from repro.obs.context import SpanCollector
 from repro.obs.exporters import jsonl_lines, write_jsonl
 from repro.obs.recorder import TraceRecorder
-from repro.obs.schema import main as schema_main
-from repro.obs.schema import validate_records, validate_trace_file
+from repro.obs.schema import validate_records
+from repro.obs.validate import validate_file
 
 TRACE_ID = "0af7651916cd43dd8448eb211c80319c"
 
@@ -102,10 +102,10 @@ class TestServeSpansValidate:
     def test_written_file_passes_module_validator(self, tmp_path, capsys):
         path = str(tmp_path / "served.trace.jsonl")
         write_jsonl(_served_request_recorder(adopt_workers=True), path)
-        assert validate_trace_file(path) == []
+        assert validate_file(path) == []
         # The CI serve-trace job runs exactly this command on dumps.
-        assert schema_main([path]) == 0
-        assert "valid" in capsys.readouterr().out
+        assert main(["validate", path]) == 0
+        assert "conforms" in capsys.readouterr().out
 
 
 class TestLiveServeTraceRoundTrip:
@@ -125,5 +125,5 @@ class TestLiveServeTraceRoundTrip:
         path.write_text(
             "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
         )
-        assert schema_main([str(path)]) == 0
+        assert main(["validate", str(path)]) == 0
         capsys.readouterr()

@@ -1,7 +1,7 @@
 """The ``repro-error/v1`` envelope: validator + every server error path.
 
 Two layers: unit tests of :mod:`repro.serve.errors` (the builder and
-the runnable validator), then end-to-end assertions that *each* 4xx/5xx
+the validator, also through ``repro validate``), then end-to-end assertions that *each* 4xx/5xx
 the server can produce is one valid envelope — the property the chaos
 harness and retrying clients depend on.
 """
@@ -89,14 +89,11 @@ class TestEnvelope:
         good.write_text(json.dumps(error_body(500, "internal", "boom")))
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "nope"}))
-        base = [sys.executable, "-m", "repro.serve.errors"]
-        assert subprocess.run(base + [str(good)]).returncode == 0
-        assert subprocess.run(
-            base + [str(bad)], stderr=subprocess.DEVNULL
-        ).returncode == 1
-        assert subprocess.run(
-            base, stderr=subprocess.DEVNULL
-        ).returncode == 2
+        base = [sys.executable, "-m", "repro", "validate"]
+        quiet = {"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL}
+        assert subprocess.run(base + [str(good)], **quiet).returncode == 0
+        assert subprocess.run(base + [str(bad)], **quiet).returncode == 1
+        assert subprocess.run(base, **quiet).returncode == 2
 
 
 @pytest.fixture()

@@ -12,11 +12,13 @@ import os
 
 import pytest
 
+from repro.cli import main
 from repro.obs.exporters import trace_records
-from repro.obs.flight import FlightRecorder, inspect_dump
+from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import TraceRecorder
-from repro.obs.schema import validate_records, validate_trace_file
+from repro.obs.schema import validate_records
+from repro.obs.validate import validate_file
 from repro.serve import EmbeddedServer, ServeConfig
 from repro.serve.client import ServerError
 
@@ -189,7 +191,7 @@ class TestServerIntegration:
             dumps = sorted(glob.glob(os.path.join(flight_dir, "*.trace.jsonl")))
             assert len(dumps) == 1
             assert "http_500" in os.path.basename(dumps[0])
-            assert validate_trace_file(dumps[0]) == []
+            assert validate_file(dumps[0]) == []
             records = [
                 json.loads(line)
                 for line in open(dumps[0], encoding="utf-8")
@@ -209,7 +211,7 @@ class TestServerIntegration:
             stem = dumps[0][: -len(".trace.jsonl")]
             assert os.path.exists(stem + ".metrics.txt")
 
-    def test_manual_endpoint_and_inspector(self, tmp_path):
+    def test_manual_endpoint_and_inspector(self, tmp_path, capsys):
         flight_dir = str(tmp_path / "flight")
         cfg = ServeConfig(port=0, pool_size=1, flight_dir=flight_dir)
         with EmbeddedServer(cfg) as client:
@@ -222,10 +224,43 @@ class TestServerIntegration:
             assert TRACE_ID in payload["trace_ids"]
             assert os.path.exists(payload["dump"])
             assert os.path.exists(payload["metrics"])
-        report = inspect_dump(payload["dump"])
+        capsys.readouterr()
+        assert main(["flight", payload["dump"]]) == 0
+        report = capsys.readouterr().out
         assert "schema: valid repro-trace/v2" in report
         assert TRACE_ID in report
         assert "serve.request" in report
+
+    def test_p99_breach_degrades_health_and_dumps_once(self, tmp_path):
+        flight_dir = str(tmp_path / "flight")
+        threshold = 1e-6  # every real request is slower
+        cfg = ServeConfig(
+            port=0,
+            pool_size=1,
+            flight_dir=flight_dir,
+            flight_debounce_seconds=60.0,
+            health_p99_ms=threshold,
+        )
+        embedded = EmbeddedServer(cfg)
+        with embedded as client:
+            assert client.health()["status"] == "ok"  # no latencies yet
+            client.solve({"instance": {"dataset": "paper"}, "solver": "gt"})
+            for _ in range(3):  # polls inside one debounce window
+                health = client.health()
+                assert health["status"] == "degraded"
+                assert health["health_p99_ms"] == threshold
+                assert health["recent_p99_ms"] > threshold
+            triggers = embedded.server.registry.counter(
+                "serve.flight_triggers", {"reason": "p99_breach"}
+            ).value
+        assert triggers == 1
+        dumps = glob.glob(os.path.join(flight_dir, "*p99_breach.trace.jsonl"))
+        assert len(dumps) == 1
+        with open(dumps[0], encoding="utf-8") as handle:
+            meta = json.loads(handle.readline())
+        assert meta["flight"]["reason"] == "p99_breach"
+        assert f"{threshold:g}ms" in meta["flight"]["detail"]
+        assert main(["validate", dumps[0]]) == 0
 
     def test_manual_endpoint_without_dir_is_409(self):
         with EmbeddedServer(ServeConfig(port=0, pool_size=1)) as client:
@@ -297,4 +332,4 @@ class TestServerIntegration:
                 dumps = glob.glob(os.path.join(flight_dir, "*.trace.jsonl"))
                 assert dumps, "a shed must trigger a flight dump"
                 for dump in dumps:
-                    assert validate_trace_file(dump) == []
+                    assert validate_file(dump) == []

@@ -154,7 +154,7 @@ class TestCommands:
         assert arguments.resume == "c.json"
 
     def test_profile_paper_example(self, tmp_path, capsys):
-        from repro.obs import validate_trace_file
+        from repro.obs.validate import validate_file
 
         jsonl = str(tmp_path / "trace.jsonl")
         metrics = str(tmp_path / "metrics.txt")
@@ -166,29 +166,29 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "solve:" in output  # summary tree root span
         assert "round:" in output
-        assert validate_trace_file(jsonl) == []
+        assert validate_file(jsonl) == []
         with open(metrics, encoding="utf-8") as handle:
             assert "repro_solver_rounds" in handle.read()
 
     def test_trace_jsonl(self, tmp_path, capsys):
-        from repro.obs import validate_trace_file
+        from repro.obs.validate import validate_file
 
         jsonl = str(tmp_path / "table1.jsonl")
         assert main(["trace", "--jsonl", jsonl]) == 0
         output = capsys.readouterr().out
         assert "Table 1" in output
-        assert validate_trace_file(jsonl) == []
+        assert validate_file(jsonl) == []
 
     def test_figure_trace(self, tmp_path, capsys):
-        from repro.obs import validate_trace_file
+        from repro.obs.validate import validate_file
 
         jsonl = str(tmp_path / "fig.jsonl")
         assert main(["figure", "table1", "--trace", jsonl]) == 0
         assert "Table 1" in capsys.readouterr().out
-        assert validate_trace_file(jsonl) == []
+        assert validate_file(jsonl) == []
 
     def test_profile_memory_and_chrome(self, tmp_path, capsys):
-        from repro.obs import validate_chrome_file
+        from repro.obs.validate import validate_file
 
         chrome = str(tmp_path / "trace.json")
         code = main([
@@ -199,18 +199,18 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "top spans by peak allocation" in output
         assert "peak" in output
-        assert validate_chrome_file(chrome) == []
+        assert validate_file(chrome) == []
 
     def test_trace_chrome(self, tmp_path, capsys):
-        from repro.obs import validate_chrome_file
+        from repro.obs.validate import validate_file
 
         chrome = str(tmp_path / "table1.json")
         assert main(["trace", "--chrome", chrome]) == 0
         assert "Table 1" in capsys.readouterr().out
-        assert validate_chrome_file(chrome) == []
+        assert validate_file(chrome) == []
 
     def test_distributed_trace_chrome_analyze(self, tmp_path, capsys):
-        from repro.obs import validate_chrome_file, validate_trace_file
+        from repro.obs.validate import validate_file
 
         jsonl = str(tmp_path / "dg.jsonl")
         chrome = str(tmp_path / "dg.json")
@@ -223,8 +223,8 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "straggler" in output
         assert "critical path" in output
-        assert validate_trace_file(jsonl) == []
-        assert validate_chrome_file(chrome) == []
+        assert validate_file(jsonl) == []
+        assert validate_file(chrome) == []
 
     def test_analyze_reads_exported_trace(self, tmp_path, capsys):
         jsonl = str(tmp_path / "dg.jsonl")
@@ -243,6 +243,20 @@ class TestCommands:
         bad.write_text('{"type": "span"}\n')
         assert main(["analyze", str(bad)]) == 1
         assert "schema violation" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["analyze", "flight"])
+    def test_trace_readers_fail_closed(self, command, tmp_path, capsys):
+        # A missing file and an ill-typed record are violations (exit
+        # 1), never a traceback.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            '{"type": "meta", "schema": "repro-trace/v2"}\n'
+            '{"type": ["span"]}\n'
+        )
+        assert main([command, str(bad)]) == 1
+        assert "unknown type" in capsys.readouterr().out
+        assert main([command, str(tmp_path / "missing.jsonl")]) == 1
+        assert "unreadable" in capsys.readouterr().out
 
 
 class TestChurn:
