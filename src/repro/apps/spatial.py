@@ -10,6 +10,7 @@ all three with predictable performance at the paper's scales.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -98,21 +99,59 @@ class Rectangle:
         return self.y_max - self.y_min
 
 
+#: Queries of one grid cell searched together.  Bounds the transient
+#: ``(rows, kept + ring candidates)`` distance and order arrays to a
+#: few MiB at the dataset generators' scales.
+_ROW_BLOCK = 64
+
+#: Relative margin that covers any disagreement between the vectorized
+#: ``np.hypot`` distances and the ``math.hypot`` ones that define the
+#: order (both are within a few ulp of the true distance).  Decisions
+#: closer than this are settled with ``math.hypot``.
+_TIE_MARGIN = 2.0 ** -40
+
+_NO_POSITIONS = np.empty(0, dtype=np.intp)
+
+
+def _margin(distance):
+    """Tie margin around ``distance`` (floored for subnormal values)."""
+    return (distance + sys.float_info.min) * _TIE_MARGIN
+
+
 class GridIndex:
     """Uniform grid over 2-d points supporting range and k-NN queries."""
 
     def __init__(self, points: Dict, cell_size: float) -> None:
         """Index ``points`` (id -> (x, y)) with square cells of ``cell_size``."""
-        if cell_size <= 0:
-            raise ConfigurationError("cell_size must be positive")
+        if not (cell_size > 0 and math.isfinite(cell_size)):
+            raise ConfigurationError("cell_size must be positive and finite")
         self._points = dict(points)
         self._cell = float(cell_size)
-        self._buckets: Dict[Tuple[int, int], List] = {}
-        for pid, (x, y) in self._points.items():
-            self._buckets.setdefault(self._key(x, y), []).append(pid)
+        # Positions into ``_ids`` stand for the (any hashable) ids.
+        self._ids = list(self._points)
+        self._xs = [float(self._points[pid][0]) for pid in self._ids]
+        self._ys = [float(self._points[pid][1]) for pid in self._ids]
+        self._x = np.array(self._xs, dtype=np.float64)
+        self._y = np.array(self._ys, dtype=np.float64)
+        buckets: Dict[Tuple[int, int], List[int]] = {}
+        for pos, (x, y) in enumerate(zip(self._xs, self._ys)):
+            buckets.setdefault(self._key(x, y), []).append(pos)
+        self._buckets = {
+            key: np.array(members, dtype=np.intp)
+            for key, members in buckets.items()
+        }
+        if buckets:
+            bxs = [bx for bx, _ in buckets]
+            bys = [by for _, by in buckets]
+            self._bbox = (min(bxs), min(bys), max(bxs), max(bys))
 
     def _key(self, x: float, y: float) -> Tuple[int, int]:
-        return (int(math.floor(x / self._cell)), int(math.floor(y / self._cell)))
+        fx, fy = x / self._cell, y / self._cell
+        if not (math.isfinite(fx) and math.isfinite(fy)):
+            raise ConfigurationError(
+                f"point ({x!r}, {y!r}) is not finite in cells of {self._cell!r}"
+            )
+        return (int(math.floor(fx)), int(math.floor(fy)))
 
     def __len__(self) -> int:
         return len(self._points)
@@ -123,52 +162,164 @@ class GridIndex:
 
     def range_query(self, rect: Rectangle) -> List:
         """Ids of all points inside ``rect``."""
-        x0, _ = self._key(rect.x_min, rect.y_min)
-        y0 = int(math.floor(rect.y_min / self._cell))
-        x1 = int(math.floor(rect.x_max / self._cell))
-        y1 = int(math.floor(rect.y_max / self._cell))
+        x0, y0 = self._key(rect.x_min, rect.y_min)
+        x1, y1 = self._key(rect.x_max, rect.y_max)
         found = []
         for cx in range(x0, x1 + 1):
             for cy in range(y0, y1 + 1):
-                for pid in self._buckets.get((cx, cy), ()):
+                for pos in self._buckets.get((cx, cy), ()):
+                    pid = self._ids[pos]
                     if rect.contains(self._points[pid]):
                         found.append(pid)
         return found
 
     def nearest(self, point: Point, count: int = 1) -> List:
-        """The ``count`` indexed points closest to ``point`` (Euclidean).
+        """The ``count`` indexed points closest to ``point`` (Euclidean)."""
+        return self.nearest_many([point], count)[0]
 
-        Expands the search ring by ring; exact because a candidate at
-        distance ``d`` rules out any cell farther than ``d`` away.
+    def nearest_many(
+        self, points: Sequence[Point], count: int = 1
+    ) -> List[List]:
+        """The ``count`` indexed points closest to each of ``points``.
+
+        One ring-by-ring search per grid cell of queries: ring ``r``
+        holds the cells at Chebyshev distance ``r`` from the query's
+        cell, scanned in ``(dx, dy)`` order.  A query stops at the last
+        occupied ring, or once its ``count``-th best distance is within
+        ``r * cell_size`` (a candidate at distance ``d`` rules out any
+        cell farther than ``d`` away).  Neighbors come nearest first,
+        ties in discovery order.  Coordinates are read as floats and
+        distances are ``math.hypot`` values, so a list is exactly what
+        a per-point search returns.
         """
         if count <= 0:
             raise ConfigurationError("count must be positive")
-        if not self._points:
-            return []
-        count = min(count, len(self._points))
-        cx, cy = self._key(point[0], point[1])
-        # No occupied bucket lies beyond this many rings from the query,
-        # so reaching it guarantees every point has been examined.
-        last_ring = max(
-            max(abs(bx - cx), abs(by - cy)) for bx, by in self._buckets
-        )
-        best: List[Tuple[float, object]] = []
-        ring = 0
-        while True:
-            candidates = []
-            for dx in range(-ring, ring + 1):
-                for dy in range(-ring, ring + 1):
-                    if max(abs(dx), abs(dy)) != ring:
-                        continue
-                    candidates.extend(self._buckets.get((cx + dx, cy + dy), ()))
-            for pid in candidates:
-                best.append((euclidean(point, self._points[pid]), pid))
-            best.sort(key=lambda pair: pair[0])
-            best = best[: count * 4]
+        queries = [(float(x), float(y)) for x, y in points]
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        for row, (x, y) in enumerate(queries):
+            groups.setdefault(self._key(x, y), []).append(row)
+        found: List[List] = [[] for _ in queries]
+        if not self._ids:
+            return found
+        count = min(count, len(self._ids))
+        for cell, rows in groups.items():
+            for start in range(0, len(rows), _ROW_BLOCK):
+                block = rows[start : start + _ROW_BLOCK]
+                for row, positions in self._search(
+                    cell, [queries[r] for r in block], count
+                ):
+                    found[block[row]] = [self._ids[p] for p in positions]
+        return found
+
+    def _ring(self, cx: int, cy: int, ring: int) -> np.ndarray:
+        """Positions in the cells ``ring`` steps from ``(cx, cy)``."""
+        parts = []
+        for dx in range(-ring, ring + 1):
+            step = 1 if abs(dx) == ring else 2 * ring
+            for dy in range(-ring, ring + 1, step):
+                bucket = self._buckets.get((cx + dx, cy + dy))
+                if bucket is not None:
+                    parts.append(bucket)
+        return np.concatenate(parts) if parts else _NO_POSITIONS
+
+    def _search(
+        self, cell: Tuple[int, int], queries: List[Point], count: int
+    ):
+        """Yield ``(row, positions)`` for the queries in grid ``cell``.
+
+        A row keeps its candidates as discovery sequence numbers sorted
+        stably by ``np.hypot`` distance and truncated to ``count * 4``,
+        widened so no cut falls within the tie margin of the
+        ``count``-th best.  Wherever the margin leaves an order or the
+        stop rule in doubt, :meth:`_settle` decides with ``math.hypot``.
+        """
+        cx, cy = cell
+        x0, y0, x1, y1 = self._bbox
+        # The farthest occupied bucket sits on an edge of the occupied
+        # bbox, and reaching its ring means every point was examined.
+        last_ring = max(cx - x0, x1 - cx, cy - y0, y1 - cy)
+        keep = count * 4
+        rows = np.arange(len(queries))
+        qx = np.array([x for x, _ in queries])[:, None]
+        qy = np.array([y for _, y in queries])[:, None]
+        dist = np.empty((len(queries), 0))
+        seq = np.empty((len(queries), 0), dtype=np.intp)
+        visited = _NO_POSITIONS
+        for ring in range(last_ring + 1):
+            found = self._ring(cx, cy, ring)
+            if found.size:
+                with np.errstate(over="ignore"):
+                    fresh = np.hypot(qx - self._x[found], qy - self._y[found])
+                fresh_seq = np.broadcast_to(
+                    np.arange(visited.size, visited.size + found.size),
+                    fresh.shape,
+                )
+                visited = np.concatenate([visited, found])
+                dist = np.concatenate([dist, fresh], axis=1)
+                seq = np.concatenate([seq, fresh_seq], axis=1)
+                order = np.argsort(dist, axis=1, kind="stable")
+                dist = np.take_along_axis(dist, order, axis=1)
+                seq = np.take_along_axis(seq, order, axis=1)
+                if dist.shape[1] > keep:
+                    kth = dist[:, count - 1]
+                    tied = dist <= (kth + _margin(kth))[:, None]
+                    width = max(keep, int(tied.sum(axis=1).max()))
+                    dist, seq = dist[:, :width], seq[:, :width]
+            if visited.size < count:
+                continue
+            bound = ring * self._cell
+            kth = dist[:, count - 1]
             if ring >= last_ring:
-                return [pid for _, pid in best[:count]]
-            # Safe to stop early once the k-th best is closer than the
-            # nearest unexplored ring's boundary.
-            if len(best) >= count and best[count - 1][0] <= ring * self._cell:
-                return [pid for _, pid in best[:count]]
-            ring += 1
+                stop = np.ones(rows.size, dtype=bool)
+            else:
+                stop = kth + _margin(kth) <= bound
+            unsure = ~stop & (kth - _margin(kth) <= bound)
+            # The np.hypot order of the first count + 1 is the exact one
+            # when every gap between them exceeds the margin.
+            head = dist[:, : count + 1]
+            clear = np.all(
+                np.diff(head, axis=1) > _margin(head[:, 1:]), axis=1
+            )
+            finished = []
+            for i in np.flatnonzero(stop | unsure).tolist():
+                if stop[i] and clear[i]:
+                    positions = visited[seq[i, :count]].tolist()
+                else:
+                    positions, kth_exact = self._settle(
+                        queries[rows[i]], dist[i], seq[i], visited, count
+                    )
+                    if not (stop[i] or kth_exact <= bound):
+                        continue
+                finished.append(i)
+                yield int(rows[i]), positions
+            if finished:
+                alive = np.ones(rows.size, dtype=bool)
+                alive[finished] = False
+                rows, qx, qy = rows[alive], qx[alive], qy[alive]
+                dist, seq = dist[alive], seq[alive]
+                if not rows.size:
+                    return
+
+    def _settle(
+        self,
+        query: Point,
+        dist: np.ndarray,
+        seq: np.ndarray,
+        visited: np.ndarray,
+        count: int,
+    ) -> Tuple[List[int], float]:
+        """One row's exact ``(positions, count-th distance)``.
+
+        Re-ranks the candidates within the tie margin of the row's
+        ``count``-th best by ``math.hypot`` distance, then discovery
+        order; every other candidate is farther by more than any
+        ``np.hypot`` error.
+        """
+        kth = dist[count - 1]
+        band = seq[: int(np.count_nonzero(dist <= kth + _margin(kth)))]
+        qx, qy = query
+        ranked = sorted(
+            (math.hypot(qx - self._xs[p], qy - self._ys[p]), s, p)
+            for s, p in zip(band.tolist(), visited[band].tolist())
+        )[:count]
+        return [p for _, _, p in ranked], ranked[-1][0]

@@ -570,15 +570,18 @@ def _echo(text: str) -> None:
     print(text.encode("utf-8", "backslashreplace").decode("utf-8"))
 
 
-def _print_violations(path: str, errors: List[str]) -> None:
-    _echo(f"{path}: {len(errors)} schema violation(s)")
+def _print_violations(
+    path: str, errors: List[str], what: str = "schema violation(s)"
+) -> None:
+    _echo(f"{path}: {len(errors)} {what}")
     for error in errors:
         _echo(f"  - {error}")
 
 
 def _read_trace(path: str):
-    """Records of a schema-valid trace file, or None after listing
-    its violations."""
+    """Records of a schema-valid trace file the analysis can read, or
+    None after listing what is wrong with it."""
+    from repro.obs.analysis import analysis_errors
     from repro.obs.schema import validate_records
     from repro.obs.validate import read_artifact
 
@@ -586,6 +589,10 @@ def _read_trace(path: str):
     errors = errors or validate_records(records)
     if errors:
         _print_violations(path, errors)
+        return None
+    errors = analysis_errors(records)
+    if errors:
+        _print_violations(path, errors, "span(s) the analysis cannot read")
         return None
     return records
 

@@ -88,10 +88,13 @@ def homophilous_friendships(
         cell_size=_typical_spacing(positions) * 4.0,
     )
     degree_bonus = [1.0] * n
+    # The index is static and draws nothing from ``rng``, so every pool
+    # can be answered up front without moving the random stream.
+    pools = index.nearest_many(positions, candidate_pool + 1)
 
     for user in range(n):
         slots = _pareto_slots(mean_slots, hub_exponent, rng)
-        near = [c for c in index.nearest(positions[user], candidate_pool + 1) if c != user]
+        near = [c for c in pools[user] if c != user]
         for _ in range(slots):
             # Retry collisions a few times so duplicate picks do not
             # silently erode the target average degree.

@@ -41,6 +41,7 @@ are byte-identical with tracing on or off.
 from repro.obs.analysis import (
     RequestReport,
     TraceReport,
+    analysis_errors,
     analyze_recorder,
     analyze_records,
     format_report,
@@ -117,6 +118,7 @@ __all__ = [
     "TraceRecorder",
     "TraceReport",
     "active_recorder",
+    "analysis_errors",
     "analyze_recorder",
     "analyze_records",
     "chrome_trace",

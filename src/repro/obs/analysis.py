@@ -28,7 +28,7 @@ implementation.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
@@ -40,6 +40,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _WORK_PREFIXES = ("slave.",)
 #: Spans counted as network time.
 _NET_NAMES = ("net.deliver", "net.exchange")
+#: Integer attrs the analysis reads, per span name.
+_INT_ATTRS = {
+    "dg.round": ("round",),
+    **{name: ("messages", "attempts") for name in _NET_NAMES},
+}
 
 
 @dataclass
@@ -131,9 +136,50 @@ class TraceReport:
 
 
 # ----------------------------------------------------------------------
+def analysis_errors(records: Iterable[Dict[str, Any]]) -> List[str]:
+    """Spans :func:`analyze_records` cannot read, and so skips.
+
+    The trace schema leaves span attrs free-form and accepts any JSON
+    integer as a time; the analysis needs times that fit a float and
+    integer ``round``/``messages``/``attempts`` attrs.
+    """
+    errors = []
+    for index, record in enumerate(records):
+        problem = _span_problem(record)
+        if problem is not None:
+            errors.append(f"record {index} (span {record.get('id')}): {problem}")
+    return errors
+
+
+def _span_problem(record: Dict[str, Any]) -> Optional[str]:
+    """Why the analysis cannot read span ``record`` (None: it can)."""
+    if record.get("type") != "span":
+        return None
+    for key in ("start", "end"):
+        try:
+            float(record.get(key, 0.0))
+        except (TypeError, ValueError, OverflowError):
+            return f"{key} is not a number within float range"
+    attrs = record.get("attrs") or {}
+    for key in _INT_ATTRS.get(record.get("name"), ()):
+        if key in attrs:
+            try:
+                int(attrs[key])
+            except (TypeError, ValueError, OverflowError):
+                return f"attrs.{key} {attrs[key]!r} is not an integer"
+    return None
+
+
 def analyze_records(records: Iterable[Dict[str, Any]]) -> TraceReport:
-    """Analyze exported trace records (``repro-trace`` v1 or v2)."""
-    spans = [r for r in records if r.get("type") == "span"]
+    """Analyze exported trace records (``repro-trace`` v1 or v2).
+
+    Spans listed by :func:`analysis_errors` are skipped, with their
+    subtrees.
+    """
+    spans = [
+        r for r in records
+        if r.get("type") == "span" and _span_problem(r) is None
+    ]
     children: Dict[Any, List[Dict[str, Any]]] = defaultdict(list)
     for span in spans:
         children[span.get("parent")].append(span)
@@ -176,9 +222,9 @@ def _walk_round(
     slave / one per delivery); the group is charged its maximum and the
     rest idles.
     """
-    stack = [span]
+    stack = deque([span])
     while stack:
-        parent = stack.pop(0)
+        parent = stack.popleft()
         groups: Dict[str, List[Dict[str, Any]]] = defaultdict(list)
         for child in children.get(parent.get("id"), []):
             stack.append(child)

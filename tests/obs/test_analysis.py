@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.obs.analysis import analyze_records, format_report
+import pytest
+
+from repro.obs import analysis_errors, analyze_records, format_report
 from repro.obs.validate import read_artifact
 
 
@@ -120,3 +122,45 @@ class TestReportFormatting:
         assert errors == []
         report = analyze_records(records)
         assert report.straggler == "slave-1"
+
+
+def unreadable_traces():
+    """Schema-valid traces whose spans the analysis cannot read."""
+    net = lambda attrs: [  # noqa: E731 - one-line builder
+        _meta(),
+        _span(0, "dg.round", 0.0, 1.0, attrs={"round": 0}),
+        _span(1, "net.exchange", 0.0, 0.5, parent=0, node="net", attrs=attrs),
+    ]
+    slave = lambda start, end: [  # noqa: E731 - one-line builder
+        _meta(),
+        _span(0, "dg.round", 0.0, 1.0, attrs={"round": 0}),
+        _span(1, "slave.compute", start, end, parent=0, node="slave-0"),
+    ]
+    return {
+        "round-list": [
+            _meta(), _span(0, "dg.round", 0.0, 1.0, attrs={"round": [1]}),
+        ],
+        "messages-list": net({"messages": [4]}),
+        "attempts-str": net({"messages": 1, "attempts": "x"}),
+        "start-beyond-float": slave(-(10**400), 0.5),
+        "end-beyond-float": slave(0.0, 10**400),
+        "request-end-beyond-float": [
+            _meta(), _span(0, "serve.request", 0.0, 10**400),
+        ],
+    }
+
+
+class TestUnreadableSpans:
+    @pytest.mark.parametrize("shape", sorted(unreadable_traces()))
+    def test_skipped_and_listed(self, shape):
+        records = unreadable_traces()[shape]
+        (error,) = analysis_errors(records)
+        assert error.startswith("record ")
+        report = analyze_records(records)
+        format_report(report)
+        # The unreadable span (and its subtree) is left out, not guessed.
+        assert len(report.rounds) + len(report.requests) <= 1
+        assert all(s.seconds < float("inf") for s in report.critical_path)
+
+    def test_readable_trace_has_no_errors(self):
+        assert analysis_errors(two_slave_round()) == []

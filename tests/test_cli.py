@@ -258,6 +258,52 @@ class TestCommands:
         assert main([command, str(tmp_path / "missing.jsonl")]) == 1
         assert "unreadable" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["analyze", "flight"])
+    @pytest.mark.parametrize(
+        "span",
+        [
+            '"start": 0, "end": 1, "attrs": {"round": [1]}',
+            '"start": 0, "end": 1' + "0" * 400 + ', "attrs": {"round": 0}',
+            '"start": -1' + "0" * 400 + ', "end": 1, "attrs": {"round": 0}',
+        ],
+        ids=["round-list", "end-beyond-float", "start-beyond-float"],
+    )
+    def test_trace_readers_fail_closed_on_unreadable_spans(
+        self, command, span, tmp_path, capsys
+    ):
+        # Schema-valid (attrs are free-form, times any JSON number), but
+        # the analysis cannot read the span: exit 1, never a traceback.
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(
+            '{"type": "meta", "schema": "repro-trace/v2"}\n'
+            '{"type": "span", "id": 0, "parent": null, "name": "dg.round",'
+            ' "depth": 0, ' + span + "}\n"
+            '{"type": "span", "id": 1, "parent": 0, "name": "net.exchange",'
+            ' "depth": 1, "start": 0, "end": 1, "attrs": {"messages": 2}}\n'
+        )
+        assert main(["validate", str(trace)]) == 0
+        capsys.readouterr()
+        assert main([command, str(trace)]) == 1
+        assert "the analysis cannot read" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["analyze", "flight"])
+    @pytest.mark.parametrize("attrs", ['{"messages": [2]}', '{"attempts": "x"}'])
+    def test_trace_readers_fail_closed_on_unreadable_counts(
+        self, command, attrs, tmp_path, capsys
+    ):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(
+            '{"type": "meta", "schema": "repro-trace/v2"}\n'
+            '{"type": "span", "id": 0, "parent": null, "name": "dg.round",'
+            ' "depth": 0, "start": 0, "end": 1, "attrs": {"round": 0}}\n'
+            '{"type": "span", "id": 1, "parent": 0, "name": "net.deliver",'
+            ' "depth": 1, "start": 0, "end": 1, "attrs": ' + attrs + "}\n"
+        )
+        assert main(["validate", str(trace)]) == 0
+        capsys.readouterr()
+        assert main([command, str(trace)]) == 1
+        assert "the analysis cannot read" in capsys.readouterr().out
+
 
 class TestChurn:
     def test_parser_defaults(self):
