@@ -21,8 +21,8 @@ from repro.apps.streaming import (
     simulate_stream,
 )
 from repro.apps.spatial import (
-    GridIndex,
     Point,
+    PointIndex,
     Rectangle,
     distance_matrix,
     euclidean,
@@ -52,10 +52,10 @@ __all__ = [
     "Event",
     "StreamingRecommender",
     "simulate_stream",
-    "GridIndex",
     "LAGPResult",
     "LAGPTask",
     "Point",
+    "PointIndex",
     "Rectangle",
     "SatisfactionReport",
     "TAGPTask",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.apps.spatial import GridIndex, Point, Rectangle, distance_matrix
+from repro.apps.spatial import Point, PointIndex, Rectangle, distance_matrix
 from repro.core.game import RMGPGame
 from repro.core.result import PartitionResult
 from repro.errors import ConfigurationError
@@ -68,7 +68,6 @@ class LAGPTask:
         checkins: Dict[NodeId, Point],
         events: Sequence[Event],
         metric: str = "euclidean",
-        grid_cell: Optional[float] = None,
     ) -> None:
         missing = [node for node in graph if node not in checkins]
         if missing:
@@ -84,16 +83,12 @@ class LAGPTask:
         self.checkins = dict(checkins)
         self.events = list(events)
         self.metric = metric
-        if grid_cell is None:
-            grid_cell = _default_cell(self.checkins)
-        self.user_index = GridIndex(
-            {node: checkins[node] for node in graph}, grid_cell
-        )
+        self.user_index = PointIndex({node: checkins[node] for node in graph})
 
     # ------------------------------------------------------------------
     def check_in(self, user: NodeId, location: Point) -> None:
         """Update a user's last check-in (locations "may be updated
-        through check-ins", Section 1).  Rebuilding the grid lazily per
+        through check-ins", Section 1).  Rebuilding the index lazily per
         query keeps updates O(1)."""
         if user not in self.graph:
             raise ConfigurationError(f"unknown user {user!r}")
@@ -105,9 +100,8 @@ class LAGPTask:
         if area is None:
             return self.graph.nodes()
         if self.user_index is None:
-            self.user_index = GridIndex(
-                {node: self.checkins[node] for node in self.graph},
-                _default_cell(self.checkins),
+            self.user_index = PointIndex(
+                {node: self.checkins[node] for node in self.graph}
             )
         return self.user_index.range_query(area)
 
@@ -166,15 +160,3 @@ class LAGPTask:
             participants=participants,
             events=chosen_events,
         )
-
-
-def _default_cell(checkins: Dict[NodeId, Point]) -> float:
-    """Grid cell targeting ~1 point per cell on uniform data."""
-    if not checkins:
-        return 1.0
-    xs = [p[0] for p in checkins.values()]
-    ys = [p[1] for p in checkins.values()]
-    extent = max(max(xs) - min(xs), max(ys) - min(ys))
-    if extent <= 0:
-        return 1.0
-    return max(extent / max(1.0, len(checkins) ** 0.5), extent * 1e-6)

@@ -1,10 +1,11 @@
-"""Spatial primitives: points, distances, and a uniform grid index.
+"""Spatial primitives: points, distances, and a point index.
 
 LAGP queries need (i) user-to-event distances (the assignment cost),
-(ii) nearest-event lookups (the ``closest`` initialization heuristic) and
-(iii) area-of-interest filters ("only the users who recently checked-in
-that area ... are relevant", Section 1).  A simple uniform grid gives
-all three with predictable performance at the paper's scales.
+(ii) nearest-neighbor lookups (the dataset generators' friendship
+candidate pools) and (iii) area-of-interest filters ("only the users
+who recently checked-in that area ... are relevant", Section 1).  At
+the paper's scales one vectorized pass over the coordinate arrays
+answers both queries with time independent of the point layout.
 """
 
 from __future__ import annotations
@@ -99,18 +100,16 @@ class Rectangle:
         return self.y_max - self.y_min
 
 
-#: Queries of one grid cell searched together.  Bounds the transient
-#: ``(rows, kept + ring candidates)`` distance and order arrays to a
-#: few MiB at the dataset generators' scales.
-_ROW_BLOCK = 64
+#: Distance cells per query block: ``_BLOCK_CELLS // len(index)`` query
+#: rows at a time keep the transient squared-distance block near 2^16
+#: entries (~0.5 MiB per array) whatever the index size.
+_BLOCK_CELLS = 1 << 16
 
 #: Relative margin that covers any disagreement between the vectorized
-#: ``np.hypot`` distances and the ``math.hypot`` ones that define the
-#: order (both are within a few ulp of the true distance).  Decisions
-#: closer than this are settled with ``math.hypot``.
+#: distances and the ``math.hypot`` ones that define the order (both are
+#: within a few ulp of the true distance).  Decisions closer than this
+#: are settled with ``math.hypot``.
 _TIE_MARGIN = 2.0 ** -40
-
-_NO_POSITIONS = np.empty(0, dtype=np.intp)
 
 
 def _margin(distance):
@@ -118,40 +117,28 @@ def _margin(distance):
     return (distance + sys.float_info.min) * _TIE_MARGIN
 
 
-class GridIndex:
-    """Uniform grid over 2-d points supporting range and k-NN queries."""
+def _coordinates(points) -> Tuple[np.ndarray, np.ndarray]:
+    """``(xs, ys)`` float arrays of ``points``; non-finite ones fail closed."""
+    pairs = [(float(x), float(y)) for x, y in points]
+    xs = np.array([x for x, _ in pairs], dtype=np.float64)
+    ys = np.array([y for _, y in pairs], dtype=np.float64)
+    bad = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))
+    if bad.size:
+        raise ConfigurationError(f"point {pairs[bad[0]]!r} is not finite")
+    return xs, ys
 
-    def __init__(self, points: Dict, cell_size: float) -> None:
-        """Index ``points`` (id -> (x, y)) with square cells of ``cell_size``."""
-        if not (cell_size > 0 and math.isfinite(cell_size)):
-            raise ConfigurationError("cell_size must be positive and finite")
+
+class PointIndex:
+    """2-d points answering exact range and k-NN queries by numpy passes."""
+
+    def __init__(self, points: Dict) -> None:
+        """Index ``points`` (any hashable id -> (x, y))."""
         self._points = dict(points)
-        self._cell = float(cell_size)
-        # Positions into ``_ids`` stand for the (any hashable) ids.
-        self._ids = list(self._points)
-        self._xs = [float(self._points[pid][0]) for pid in self._ids]
-        self._ys = [float(self._points[pid][1]) for pid in self._ids]
-        self._x = np.array(self._xs, dtype=np.float64)
-        self._y = np.array(self._ys, dtype=np.float64)
-        buckets: Dict[Tuple[int, int], List[int]] = {}
-        for pos, (x, y) in enumerate(zip(self._xs, self._ys)):
-            buckets.setdefault(self._key(x, y), []).append(pos)
-        self._buckets = {
-            key: np.array(members, dtype=np.intp)
-            for key, members in buckets.items()
-        }
-        if buckets:
-            bxs = [bx for bx, _ in buckets]
-            bys = [by for _, by in buckets]
-            self._bbox = (min(bxs), min(bys), max(bxs), max(bys))
-
-    def _key(self, x: float, y: float) -> Tuple[int, int]:
-        fx, fy = x / self._cell, y / self._cell
-        if not (math.isfinite(fx) and math.isfinite(fy)):
-            raise ConfigurationError(
-                f"point ({x!r}, {y!r}) is not finite in cells of {self._cell!r}"
-            )
-        return (int(math.floor(fx)), int(math.floor(fy)))
+        # Positions into ``_ids`` stand for the ids.
+        self._ids = np.fromiter(
+            self._points, dtype=object, count=len(self._points)
+        )
+        self._x, self._y = _coordinates(self._points.values())
 
     def __len__(self) -> int:
         return len(self._points)
@@ -161,17 +148,12 @@ class GridIndex:
         return self._points[pid]
 
     def range_query(self, rect: Rectangle) -> List:
-        """Ids of all points inside ``rect``."""
-        x0, y0 = self._key(rect.x_min, rect.y_min)
-        x1, y1 = self._key(rect.x_max, rect.y_max)
-        found = []
-        for cx in range(x0, x1 + 1):
-            for cy in range(y0, y1 + 1):
-                for pos in self._buckets.get((cx, cy), ()):
-                    pid = self._ids[pos]
-                    if rect.contains(self._points[pid]):
-                        found.append(pid)
-        return found
+        """Ids of all points inside ``rect``, in insertion order."""
+        inside = (
+            (self._x >= rect.x_min) & (self._x <= rect.x_max)
+            & (self._y >= rect.y_min) & (self._y <= rect.y_max)
+        )
+        return self._ids[inside].tolist()
 
     def nearest(self, point: Point, count: int = 1) -> List:
         """The ``count`` indexed points closest to ``point`` (Euclidean)."""
@@ -182,144 +164,72 @@ class GridIndex:
     ) -> List[List]:
         """The ``count`` indexed points closest to each of ``points``.
 
-        One ring-by-ring search per grid cell of queries: ring ``r``
-        holds the cells at Chebyshev distance ``r`` from the query's
-        cell, scanned in ``(dx, dy)`` order.  A query stops at the last
-        occupied ring, or once its ``count``-th best distance is within
-        ``r * cell_size`` (a candidate at distance ``d`` rules out any
-        cell farther than ``d`` away).  Neighbors come nearest first,
-        ties in discovery order.  Coordinates are read as floats and
-        distances are ``math.hypot`` values, so a list is exactly what
-        a per-point search returns.
+        Each list is the head of the indexed points sorted by
+        ``(math.hypot distance, insertion position)``: nearest first,
+        exact ties in insertion order.  Query rows are answered in
+        blocks: squared distances select each row's ``count + 1``
+        nearest candidates, ``np.hypot`` orders them, and a row whose
+        order any tie margin leaves in doubt is decided by
+        :meth:`_exact` (see DESIGN.md §2.5.1).
         """
         if count <= 0:
             raise ConfigurationError("count must be positive")
-        queries = [(float(x), float(y)) for x, y in points]
-        groups: Dict[Tuple[int, int], List[int]] = {}
-        for row, (x, y) in enumerate(queries):
-            groups.setdefault(self._key(x, y), []).append(row)
-        found: List[List] = [[] for _ in queries]
-        if not self._ids:
-            return found
-        count = min(count, len(self._ids))
-        for cell, rows in groups.items():
-            for start in range(0, len(rows), _ROW_BLOCK):
-                block = rows[start : start + _ROW_BLOCK]
-                for row, positions in self._search(
-                    cell, [queries[r] for r in block], count
-                ):
-                    found[block[row]] = [self._ids[p] for p in positions]
+        qx, qy = _coordinates(points)
+        size = self._ids.size
+        if not size:
+            return [[] for _ in range(qx.size)]
+        count = min(count, size)
+        width = min(count + 1, size)
+        step = max(1, _BLOCK_CELLS // size)
+        found: List[List] = []
+        for start in range(0, qx.size, step):
+            bx = qx[start : start + step, None]
+            by = qy[start : start + step, None]
+            with np.errstate(over="ignore"):
+                square = bx - self._x
+                square *= square
+                dy = by - self._y
+                dy *= dy
+                square += dy
+            del dy
+            picks = np.argpartition(square, width - 1, axis=1)[:, :width]
+            # Squares of normal magnitude carry a few ulp of relative
+            # error, like the distances; an overflowed or underflowed
+            # square does not, so such a row takes the exact path.
+            last = np.take_along_axis(square, picks[:, -1:], axis=1)[:, 0]
+            with np.errstate(over="ignore"):
+                dist = np.hypot(bx - self._x[picks], by - self._y[picks])
+            order = np.lexsort((picks, dist), axis=1)
+            picks = np.take_along_axis(picks, order, axis=1)
+            dist = np.take_along_axis(dist, order, axis=1)
+            clear = (
+                (last >= sys.float_info.min)
+                & (last < math.inf)
+                & np.all(np.diff(dist, axis=1) > _margin(dist[:, 1:]), axis=1)
+            )
+            heads = self._ids[picks[:, :count]].tolist()
+            for row in np.flatnonzero(~clear).tolist():
+                exact = self._exact(bx.item(row), by.item(row), count)
+                heads[row] = self._ids[exact].tolist()
+            found.extend(heads)
         return found
 
-    def _ring(self, cx: int, cy: int, ring: int) -> np.ndarray:
-        """Positions in the cells ``ring`` steps from ``(cx, cy)``."""
-        parts = []
-        for dx in range(-ring, ring + 1):
-            step = 1 if abs(dx) == ring else 2 * ring
-            for dy in range(-ring, ring + 1, step):
-                bucket = self._buckets.get((cx + dx, cy + dy))
-                if bucket is not None:
-                    parts.append(bucket)
-        return np.concatenate(parts) if parts else _NO_POSITIONS
+    def _exact(self, qx: float, qy: float, count: int) -> List[int]:
+        """One query's ``count`` nearest positions by ``math.hypot``.
 
-    def _search(
-        self, cell: Tuple[int, int], queries: List[Point], count: int
-    ):
-        """Yield ``(row, positions)`` for the queries in grid ``cell``.
-
-        A row keeps its candidates as discovery sequence numbers sorted
-        stably by ``np.hypot`` distance and truncated to ``count * 4``,
-        widened so no cut falls within the tie margin of the
-        ``count``-th best.  Wherever the margin leaves an order or the
-        stop rule in doubt, :meth:`_settle` decides with ``math.hypot``.
-        """
-        cx, cy = cell
-        x0, y0, x1, y1 = self._bbox
-        # The farthest occupied bucket sits on an edge of the occupied
-        # bbox, and reaching its ring means every point was examined.
-        last_ring = max(cx - x0, x1 - cx, cy - y0, y1 - cy)
-        keep = count * 4
-        rows = np.arange(len(queries))
-        qx = np.array([x for x, _ in queries])[:, None]
-        qy = np.array([y for _, y in queries])[:, None]
-        dist = np.empty((len(queries), 0))
-        seq = np.empty((len(queries), 0), dtype=np.intp)
-        visited = _NO_POSITIONS
-        for ring in range(last_ring + 1):
-            found = self._ring(cx, cy, ring)
-            if found.size:
-                with np.errstate(over="ignore"):
-                    fresh = np.hypot(qx - self._x[found], qy - self._y[found])
-                fresh_seq = np.broadcast_to(
-                    np.arange(visited.size, visited.size + found.size),
-                    fresh.shape,
-                )
-                visited = np.concatenate([visited, found])
-                dist = np.concatenate([dist, fresh], axis=1)
-                seq = np.concatenate([seq, fresh_seq], axis=1)
-                order = np.argsort(dist, axis=1, kind="stable")
-                dist = np.take_along_axis(dist, order, axis=1)
-                seq = np.take_along_axis(seq, order, axis=1)
-                if dist.shape[1] > keep:
-                    kth = dist[:, count - 1]
-                    tied = dist <= (kth + _margin(kth))[:, None]
-                    width = max(keep, int(tied.sum(axis=1).max()))
-                    dist, seq = dist[:, :width], seq[:, :width]
-            if visited.size < count:
-                continue
-            bound = ring * self._cell
-            kth = dist[:, count - 1]
-            if ring >= last_ring:
-                stop = np.ones(rows.size, dtype=bool)
-            else:
-                stop = kth + _margin(kth) <= bound
-            unsure = ~stop & (kth - _margin(kth) <= bound)
-            # The np.hypot order of the first count + 1 is the exact one
-            # when every gap between them exceeds the margin.
-            head = dist[:, : count + 1]
-            clear = np.all(
-                np.diff(head, axis=1) > _margin(head[:, 1:]), axis=1
-            )
-            finished = []
-            for i in np.flatnonzero(stop | unsure).tolist():
-                if stop[i] and clear[i]:
-                    positions = visited[seq[i, :count]].tolist()
-                else:
-                    positions, kth_exact = self._settle(
-                        queries[rows[i]], dist[i], seq[i], visited, count
-                    )
-                    if not (stop[i] or kth_exact <= bound):
-                        continue
-                finished.append(i)
-                yield int(rows[i]), positions
-            if finished:
-                alive = np.ones(rows.size, dtype=bool)
-                alive[finished] = False
-                rows, qx, qy = rows[alive], qx[alive], qy[alive]
-                dist, seq = dist[alive], seq[alive]
-                if not rows.size:
-                    return
-
-    def _settle(
-        self,
-        query: Point,
-        dist: np.ndarray,
-        seq: np.ndarray,
-        visited: np.ndarray,
-        count: int,
-    ) -> Tuple[List[int], float]:
-        """One row's exact ``(positions, count-th distance)``.
-
-        Re-ranks the candidates within the tie margin of the row's
-        ``count``-th best by ``math.hypot`` distance, then discovery
-        order; every other candidate is farther by more than any
+        Re-ranks every point within the tie margin of the ``count``-th
+        best ``np.hypot`` distance by ``(math.hypot distance,
+        position)``; every other point is farther by more than any
         ``np.hypot`` error.
         """
-        kth = dist[count - 1]
-        band = seq[: int(np.count_nonzero(dist <= kth + _margin(kth)))]
-        qx, qy = query
+        with np.errstate(over="ignore"):
+            dist = np.hypot(qx - self._x, qy - self._y)
+        kth = np.partition(dist, count - 1)[count - 1]
+        band = np.flatnonzero(dist <= kth + _margin(kth))
         ranked = sorted(
-            (math.hypot(qx - self._xs[p], qy - self._ys[p]), s, p)
-            for s, p in zip(band.tolist(), visited[band].tolist())
-        )[:count]
-        return [p for _, _, p in ranked], ranked[-1][0]
+            (math.hypot(qx - x, qy - y), p)
+            for p, x, y in zip(
+                band.tolist(), self._x[band].tolist(), self._y[band].tolist()
+            )
+        )
+        return [p for _, p in ranked[:count]]

@@ -10,11 +10,12 @@ and hub users for the degree-ordering heuristic).
 
 from __future__ import annotations
 
-import math
 import random
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Dict, List, Sequence
 
-from repro.apps.spatial import GridIndex, Point
+from repro.apps.spatial import Point, PointIndex
 from repro.errors import DataError
 from repro.graph.social_graph import SocialGraph
 
@@ -83,10 +84,7 @@ def homophilous_friendships(
 
     mean_slots = target_avg_degree / 2.0
     graph = SocialGraph(range(n))
-    index = GridIndex(
-        {i: p for i, p in enumerate(positions)},
-        cell_size=_typical_spacing(positions) * 4.0,
-    )
+    index = PointIndex(dict(enumerate(positions)))
     degree_bonus = [1.0] * n
     # The index is static and draws nothing from ``rng``, so every pool
     # can be answered up front without moving the random stream.
@@ -95,18 +93,26 @@ def homophilous_friendships(
     for user in range(n):
         slots = _pareto_slots(mean_slots, hub_exponent, rng)
         near = [c for c in pools[user] if c != user]
+        # Prefix sums of the pool's popularity weights, patched as the
+        # weights grow (see ``_pick_slot``).
+        prefix = list(accumulate([degree_bonus[c] for c in near]))
         for _ in range(slots):
             # Retry collisions a few times so duplicate picks do not
             # silently erode the target average degree.
             for _attempt in range(4):
                 if near and rng.random() < local_fraction:
-                    friend = _weighted_choice(near, degree_bonus, rng)
+                    slot = _pick_slot(prefix, rng)
+                    friend = near[slot]
                 else:
                     friend = rng.randrange(n)
+                    slot = near.index(friend) if friend in near else None
                 if friend != user and not graph.has_edge(user, friend):
                     graph.add_edge(user, friend, 1.0)
                     degree_bonus[user] += 1.0
                     degree_bonus[friend] += 1.0
+                    if slot is not None:
+                        for k in range(slot, len(prefix)):
+                            prefix[k] += 1.0
                     break
     return graph
 
@@ -125,25 +131,13 @@ def _pareto_slots(mean: float, exponent: float, rng: random.Random) -> int:
     return floor + (1 if rng.random() < value - floor else 0)
 
 
-def _weighted_choice(
-    candidates: Sequence[int], weights: List[float], rng: random.Random
-) -> int:
-    """Pick a candidate proportionally to its popularity weight."""
-    total = sum(weights[c] for c in candidates)
-    draw = rng.random() * total
-    acc = 0.0
-    for candidate in candidates:
-        acc += weights[candidate]
-        if draw <= acc:
-            return candidate
-    return candidates[-1]
+def _pick_slot(prefix: List[float], rng: random.Random) -> int:
+    """Pool slot drawn proportionally to its weight, given weight prefix sums.
 
-
-def _typical_spacing(positions: Sequence[Point]) -> float:
-    """Rough nearest-neighbor spacing for grid sizing."""
-    xs = [p[0] for p in positions]
-    ys = [p[1] for p in positions]
-    extent = max(max(xs) - min(xs), max(ys) - min(ys))
-    if extent <= 0:
-        return 1.0
-    return max(extent / math.sqrt(len(positions)), extent * 1e-9)
+    The first slot whose prefix sum reaches a uniform draw over the
+    total, as a linear scan of the running sum finds it.  The weights
+    are integer-valued floats below 2^53, so every prefix sum is exact
+    in any summation order and the pick is the scan's.
+    """
+    draw = rng.random() * prefix[-1]
+    return min(bisect_left(prefix, draw), len(prefix) - 1)

@@ -1,4 +1,4 @@
-"""Unit tests for spatial primitives and the grid index."""
+"""Unit tests for spatial primitives and the point index."""
 
 import math
 import random
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import (
-    GridIndex,
+    PointIndex,
     Rectangle,
     distance_matrix,
     euclidean,
@@ -73,27 +73,31 @@ class TestRectangle:
 
 
 class TestGridIndex:
-    def test_rejects_bad_cell(self):
-        with pytest.raises(ConfigurationError):
-            GridIndex({}, 0.0)
-
-    @pytest.mark.parametrize("cell", [math.nan, math.inf])
-    def test_rejects_non_finite_cell(self, cell):
-        with pytest.raises(ConfigurationError):
-            GridIndex({}, cell)
+    """``PointIndex`` basics (the class name is the one the grid index
+    it replaced had, kept so the test ids stay stable)."""
 
     def test_range_query_matches_brute_force(self):
         rng = random.Random(0)
         points = {i: (rng.uniform(0, 10), rng.uniform(0, 10)) for i in range(200)}
-        index = GridIndex(points, cell_size=1.3)
+        index = PointIndex(points)
         rect = Rectangle(2.0, 3.0, 6.5, 7.25)
-        expected = {pid for pid, p in points.items() if rect.contains(p)}
-        assert set(index.range_query(rect)) == expected
+        expected = [pid for pid, p in points.items() if rect.contains(p)]
+        assert index.range_query(rect) == expected
+
+    def test_range_query_hostile_rectangle(self):
+        # Far larger than the points' extent: time must not grow with area.
+        points = {"a": (0.0, 0.0), "b": (5.0, -3.0), "c": (2e9, 0.0), "d": (1.0, 1.0)}
+        index = PointIndex(points)
+        rect = Rectangle(-1e9, -1e9, 1e9, 1e9)
+        expected = [pid for pid, p in points.items() if rect.contains(p)]
+        assert index.range_query(rect) == expected == ["a", "b", "d"]
+        assert index.range_query(Rectangle(-1e308, -1e308, 1e308, 1e308)) == list(points)
+        assert PointIndex({}).range_query(rect) == []
 
     def test_nearest_matches_brute_force(self):
         rng = random.Random(1)
         points = {i: (rng.uniform(0, 5), rng.uniform(0, 5)) for i in range(100)}
-        index = GridIndex(points, cell_size=0.8)
+        index = PointIndex(points)
         for _ in range(10):
             query = (rng.uniform(0, 5), rng.uniform(0, 5))
             found = index.nearest(query, count=3)
@@ -103,36 +107,36 @@ class TestGridIndex:
             assert found_d == pytest.approx(brute_d)
 
     def test_nearest_count_clamped(self):
-        index = GridIndex({0: (0, 0), 1: (1, 1)}, cell_size=1.0)
+        index = PointIndex({0: (0, 0), 1: (1, 1)})
         assert len(index.nearest((0, 0), count=10)) == 2
 
     def test_nearest_empty_index(self):
-        assert GridIndex({}, 1.0).nearest((0, 0)) == []
+        assert PointIndex({}).nearest((0, 0)) == []
 
     def test_nearest_rejects_bad_count(self):
-        index = GridIndex({0: (0, 0)}, 1.0)
+        index = PointIndex({0: (0, 0)})
         with pytest.raises(ConfigurationError):
             index.nearest((0, 0), count=0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_fails_closed(self, bad):
         with pytest.raises(ConfigurationError):
-            GridIndex({0: (0.0, 0.0), 1: (bad, 1.0)}, 1.0)
+            PointIndex({0: (0.0, 0.0), 1: (bad, 1.0)})
         with pytest.raises(ConfigurationError):
-            GridIndex({0: (1.0, bad)}, 1.0)
+            PointIndex({0: (1.0, bad)})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_query_fails_closed(self, bad):
-        index = GridIndex({0: (0.0, 0.0), 1: (1.0, 1.0)}, 1.0)
+        index = PointIndex({0: (0.0, 0.0), 1: (1.0, 1.0)})
         with pytest.raises(ConfigurationError):
             index.nearest((bad, 0.0))
         with pytest.raises(ConfigurationError):
             index.nearest_many([(0.0, 0.0), (0.0, bad)], count=2)
         with pytest.raises(ConfigurationError):
-            GridIndex({}, 1.0).nearest((bad, 0.0))
+            PointIndex({}).nearest((bad, 0.0))
 
     def test_location_lookup(self):
-        index = GridIndex({7: (1.5, 2.5)}, 1.0)
+        index = PointIndex({7: (1.5, 2.5)})
         assert index.location(7) == (1.5, 2.5)
         assert len(index) == 1
 
@@ -145,63 +149,42 @@ class TestGridIndex:
     query=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
 )
 def test_property_grid_nearest_is_exact(points, query):
-    """Grid 1-NN always equals the brute-force nearest distance."""
+    """1-NN always equals the brute-force nearest distance."""
     table = {i: p for i, p in enumerate(points)}
-    index = GridIndex(table, cell_size=7.0)
+    index = PointIndex(table)
     found = index.nearest(query, count=1)[0]
     best = min(euclidean(query, p) for p in points)
     assert euclidean(query, table[found]) == pytest.approx(best)
 
 
-def _reference_nearest(points, cell, point, count):
-    """The per-point ring search ``GridIndex.nearest`` ran before
-    ``nearest_many``, kept as the oracle the batched search must match
-    list for list (order and tie-breaks included)."""
-
-    def key(x, y):
-        return (int(math.floor(x / cell)), int(math.floor(y / cell)))
-
-    buckets = {}
-    for pid, (x, y) in points.items():
-        buckets.setdefault(key(x, y), []).append(pid)
-    if not points:
-        return []
-    count = min(count, len(points))
-    cx, cy = key(point[0], point[1])
-    last_ring = max(max(abs(bx - cx), abs(by - cy)) for bx, by in buckets)
-    best = []
-    ring = 0
-    while True:
-        candidates = []
-        for dx in range(-ring, ring + 1):
-            for dy in range(-ring, ring + 1):
-                if max(abs(dx), abs(dy)) != ring:
-                    continue
-                candidates.extend(buckets.get((cx + dx, cy + dy), ()))
-        for pid in candidates:
-            best.append((euclidean(point, points[pid]), pid))
-        best.sort(key=lambda pair: pair[0])
-        best = best[: count * 4]
-        if ring >= last_ring:
-            return [pid for _, pid in best[:count]]
-        if len(best) >= count and best[count - 1][0] <= ring * cell:
-            return [pid for _, pid in best[:count]]
-        ring += 1
+def _reference_nearest(points, point, count):
+    """The specification ``nearest_many`` must match list for list: the
+    ids sorted by ``(math.hypot distance, insertion position)``, cut to
+    ``count``."""
+    ids = list(points)
+    ranked = sorted(
+        range(len(ids)), key=lambda pos: (euclidean(point, points[ids[pos]]), pos)
+    )
+    return [ids[pos] for pos in ranked[:count]]
 
 
 # Free floats, and grid-aligned ones that make exact distance ties
-# (e.g. offsets (1, 7) and (5, 5)) and distances equal to a ring bound.
+# (e.g. offsets (1, 7) and (5, 5)).  Layouts scaled by 1e160 square to
+# infinity and layouts scaled by 1e-160 square to subnormals or zero.
 _coordinate = st.one_of(
     st.floats(-20, 20),
     st.integers(-20, 20).map(float),
     st.integers(-40, 40).map(lambda v: v / 2.0),
 )
+_scale = st.sampled_from([1.0, 1.0, 1e160, -1e160, 1e-160, -1e-160])
 
 
 @st.composite
 def _layouts(draw):
+    scale = draw(_scale)
     coords = draw(st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=40))
-    # Duplicate points: exact ties broken by discovery order.
+    coords = [(x * scale, y * scale) for x, y in coords]
+    # Duplicate points: exact ties broken by insertion position.
     coords += draw(st.lists(st.sampled_from(coords), max_size=6))
     pids = draw(st.sampled_from(["int", "str"]))
     if pids == "int":
@@ -211,49 +194,56 @@ def _layouts(draw):
     queries = draw(st.lists(
         st.one_of(
             st.sampled_from(coords),
-            st.tuples(_coordinate, _coordinate),
+            st.tuples(_coordinate, _coordinate).map(
+                lambda q: (q[0] * scale, q[1] * scale)
+            ),
             # Outside the points' bounding box.
-            st.tuples(st.floats(-30, 30), st.floats(-30, 30)),
+            st.tuples(st.floats(-30, 30), st.floats(-30, 30)).map(
+                lambda q: (q[0] * scale, q[1] * scale)
+            ),
         ),
         min_size=1, max_size=12,
     ))
-    cell = draw(st.sampled_from([1.0, 2.5, 5.0, 7.0]))
     count = draw(st.integers(1, len(points) + 5))
-    return points, cell, queries, count
+    return points, queries, count
 
 
 @settings(max_examples=200, deadline=None)
 @given(layout=_layouts())
 def test_property_nearest_many_matches_per_point_search(layout):
-    points, cell, queries, count = layout
-    index = GridIndex(points, cell)
+    points, queries, count = layout
+    index = PointIndex(points)
     found = index.nearest_many(queries, count)
-    assert found == [_reference_nearest(points, cell, q, count) for q in queries]
+    assert found == [_reference_nearest(points, q, count) for q in queries]
     assert index.nearest(queries[0], count) == found[0]
 
 
 class TestNearestMany:
     def test_empty_index_answers_every_query(self):
-        assert GridIndex({}, 1.0).nearest_many([(0, 0), (1, 1)], 3) == [[], []]
+        assert PointIndex({}).nearest_many([(0, 0), (1, 1)], 3) == [[], []]
 
     def test_no_queries(self):
-        assert GridIndex({0: (0, 0)}, 1.0).nearest_many([], 3) == []
+        assert PointIndex({0: (0, 0)}).nearest_many([], 3) == []
 
     def test_rejects_bad_count(self):
         with pytest.raises(ConfigurationError):
-            GridIndex({0: (0, 0)}, 1.0).nearest_many([(0, 0)], 0)
+            PointIndex({0: (0, 0)}).nearest_many([(0, 0)], 0)
 
     def test_exact_tie_split_by_np_hypot(self):
-        # math.hypot(25, 57) == math.hypot(43, 45), so discovery order
-        # decides; np.hypot puts (43, 45) one ulp farther.
-        index = GridIndex({"b": (43.0, 45.0), "a": (25.0, 57.0)}, 100.0)
+        # math.hypot(25, 57) == math.hypot(43, 45), so insertion
+        # position decides; np.hypot puts (43, 45) one ulp farther.
+        assert np.hypot(43.0, 45.0) > np.hypot(25.0, 57.0)
+        assert math.hypot(43.0, 45.0) == math.hypot(25.0, 57.0)
+        index = PointIndex({"b": (43.0, 45.0), "a": (25.0, 57.0)})
         assert index.nearest((0.0, 0.0), 1) == ["b"]
         assert index.nearest_many([(0.0, 0.0)], 2) == [["b", "a"]]
+        index = PointIndex({"a": (25.0, 57.0), "b": (43.0, 45.0)})
+        assert index.nearest_many([(0.0, 0.0)], 2) == [["a", "b"]]
 
     def test_truncation_keeps_near_ties(self):
         # Sixteen points at one math.hypot distance, which np.hypot
-        # splits into two values; the first-discovered ones are the
-        # farther np.hypot family, so neither the count * 4 cut nor the
+        # splits into two values; the first-inserted ones are the
+        # farther np.hypot family, so neither the candidate cut nor the
         # order may follow np.hypot.
         base = [(43, 45), (25, 57)]
         offsets = [
@@ -264,20 +254,47 @@ class TestNearestMany:
             for sy in (1, -1)
         ]
         points = {i: (100.0 + dx, 100.0 + dy) for i, (dx, dy) in enumerate(offsets)}
-        index = GridIndex(points, 200.0)
+        index = PointIndex(points)
         for count in (1, 2, 3, 9):
-            assert index.nearest((100.0, 100.0), count) == _reference_nearest(
-                points, 200.0, (100.0, 100.0), count
-            )
+            found = index.nearest((100.0, 100.0), count)
+            assert found == list(range(count))
+            assert found == _reference_nearest(points, (100.0, 100.0), count)
+
+    def test_overflowing_squares_take_the_exact_path(self):
+        # Every nonzero square overflows to inf.  Seen from -1.5e308,
+        # points 0-2 all round to distance 1.5e308 (a tie kept in
+        # insertion order) and point 3's difference overflows to inf.
+        points = {0: (1e160, 0.0), 1: (-1e160, 0.0), 2: (3e160, 0.0),
+                  3: (1.5e308, 0.0), 4: (-1.5e308, 0.0)}
+        index = PointIndex(points)
+        assert index.nearest((0.0, 0.0), 2) == [0, 1]
+        assert index.nearest((-1.5e308, 0.0), 5) == [4, 0, 1, 2, 3]
+        for query in [(0.0, 0.0), (2e160, 1e160), (-1.5e308, 0.0), (1e308, 1e308)]:
+            assert index.nearest(query, 3) == _reference_nearest(points, query, 3)
+        # Farthest first: selecting among infinite squares by position
+        # would miss the nearest ones.
+        far_first = PointIndex({i: (x * 1e160, 0.0) for i, x in enumerate([5, 4, 3, 1, 2])})
+        assert far_first.nearest((0.0, 0.0), 1) == [3]
+        assert far_first.nearest((0.0, 0.0), 2) == [3, 4]
+
+    def test_underflowing_squares_take_the_exact_path(self):
+        # Every square rounds to zero, which would select by position.
+        points = {0: (3e-170, 0.0), 1: (2e-170, 0.0), 2: (1e-170, 0.0), 3: (0.0, 4e-170)}
+        index = PointIndex(points)
+        assert index.nearest((0.0, 0.0), 1) == [2]
+        assert index.nearest((0.0, 0.0), 2) == [2, 1]
+        assert index.nearest_many([(0.0, 0.0), (0.0, 3e-170)], 3) == [
+            [2, 1, 0], [3, 2, 1],
+        ]
 
     def test_many_queries_in_one_cell(self):
-        # More queries than one row block, all in the same grid cell.
+        # More queries than one block of rows, all in one small square.
         rng = random.Random(5)
         points = {i: (rng.uniform(0, 10), rng.uniform(0, 10)) for i in range(400)}
-        index = GridIndex(points, cell_size=10.0)
+        index = PointIndex(points)
         queries = list(points.values())
         found = index.nearest_many(queries, 9)
-        assert found == [_reference_nearest(points, 10.0, q, 9) for q in queries]
+        assert found == [_reference_nearest(points, q, 9) for q in queries]
 
     def test_clustered_layout_matches_per_point_search(self):
         # The dataset generators' use: every user's candidate pool.
@@ -287,6 +304,6 @@ class TestNearestMany:
             for cx, cy in [(0, 0), (300, 40), (120, 500)] * 200
         ]
         points = dict(enumerate(positions))
-        index = GridIndex(points, cell_size=45.0)
+        index = PointIndex(points)
         found = index.nearest_many(positions, 41)
-        assert found == [_reference_nearest(points, 45.0, p, 41) for p in positions]
+        assert found == [_reference_nearest(points, p, 41) for p in positions]
