@@ -78,7 +78,7 @@ from repro.runtime import (
     SteppingClock,
 )
 
-__version__ = "6.0.0"
+__version__ = "6.1.0"
 
 __all__ = [
     "CancelToken",

@@ -90,16 +90,17 @@ def player_order(
     rng: Optional[random.Random] = None,
 ) -> List[int]:
     """Order in which a round examines players."""
+    if method == "degree":
+        # Descending degree, ties by index: sorted(range(n), key=lambda v:
+        # (-degrees[v], v)) in one numpy pass.
+        degrees = instance.degrees()
+        return np.lexsort((np.arange(instance.n), -degrees)).tolist()
     players = list(range(instance.n))
     if method == "given":
         return players
     if method == "random":
         rng = rng or random.Random()
         rng.shuffle(players)
-        return players
-    if method == "degree":
-        degrees = instance.degrees()
-        players.sort(key=lambda v: (-degrees[v], v))
         return players
     raise ConfigurationError(
         f"unknown order method {method!r}; expected one of {ORDER_METHODS}"

@@ -556,7 +556,8 @@ class IncrementalRMGP:
             instance.graph.copy(), instance.classes, MatrixCost(matrix),
             instance.alpha,
         )
-        # MatrixCost copies; keep the live reference used by the solver.
+        # ``matrix`` is already private (``dense()`` or a checkpoint copy)
+        # and MatrixCost keeps it uncopied: the live reference updates write.
         self._matrix = self.instance.cost._matrix  # type: ignore[attr-defined]
 
     def _index(self, node: NodeId) -> int:

@@ -95,18 +95,23 @@ class RMGPInstance:
             node: i for i, node in enumerate(self.node_ids)
         }
 
-        self.cost = as_cost_provider(
-            cost, num_players=len(self.node_ids), num_classes=len(classes)
-        )
-        if self.cost.num_players != len(self.node_ids):
-            raise ConfigurationError(
-                f"cost has {self.cost.num_players} players, graph has {len(self.node_ids)}"
-            )
-        if self.cost.num_classes != len(classes):
-            raise ConfigurationError(
-                f"cost has {self.cost.num_classes} classes, P has {len(classes)}"
-            )
+        self.cost = self._aligned_cost(cost)
         self._build_adjacency()
+
+    def _aligned_cost(self, cost) -> CostProvider:
+        """``cost`` as a provider, checked against ``n`` and ``k``."""
+        cost = as_cost_provider(
+            cost, num_players=len(self.node_ids), num_classes=len(self.classes)
+        )
+        if cost.num_players != len(self.node_ids):
+            raise ConfigurationError(
+                f"cost has {cost.num_players} players, graph has {len(self.node_ids)}"
+            )
+        if cost.num_classes != len(self.classes):
+            raise ConfigurationError(
+                f"cost has {cost.num_classes} classes, P has {len(self.classes)}"
+            )
+        return cost
 
     # ------------------------------------------------------------------
     def _csr_buffer(self, name: str, size: int, dtype) -> np.ndarray:
@@ -119,7 +124,9 @@ class RMGPInstance:
         allocations — the "bounded reallocation" contract of the
         streaming layer.  The returned view aliases the buffer: treat the
         published arrays as read-only snapshots that are refreshed (in
-        place) by :meth:`rebuild_adjacency`.
+        place) by :meth:`rebuild_adjacency`.  Cloning (:meth:`_clone`)
+        detaches the buffers from the published views, so views a clone
+        shares are never overwritten; the next rebuild allocates afresh.
         """
         buffers = self.__dict__.setdefault("_csr_scratch", {})
         buffer = buffers.get(name)
@@ -221,7 +228,8 @@ class RMGPInstance:
         ``max_social_cost`` entries are touched — O(deg(u) + deg(v))
         against the O(|V| + |E|) of :meth:`rebuild_adjacency`.  The
         underlying :class:`SocialGraph` is updated too, keeping its
-        stored totals exact.
+        stored totals exact.  Arrays shared with a clone are copied
+        before the first write (see :meth:`_clone`).
         """
         weight = float(weight)
         if not np.isfinite(weight) or weight <= 0:
@@ -234,6 +242,10 @@ class RMGPInstance:
         iu, iv = self.index_of[u], self.index_of[v]
         old = self.graph.weight(u, v)
         self.graph.add_edge(u, v, weight)  # overwrite keeps totals exact
+        for name in self._WEIGHT_ARRAYS:
+            array = getattr(self, name)
+            if not array.flags.writeable:  # shared with a clone: copy first
+                setattr(self, name, array.copy())
         for me, other in ((iu, iv), (iv, iu)):
             # Rows are in ascending neighbour order: binary-search the slot.
             start, stop = self.indptr[me : me + 2]
@@ -284,13 +296,61 @@ class RMGPInstance:
         """Clone this instance with a different cost provider.
 
         Used by normalization, which rescales assignment costs while the
-        graph, classes and ``α`` stay fixed.
+        graph, classes and ``α`` stay fixed.  Costs never touch the CSR,
+        so the clone shares every graph-derived array (see
+        :meth:`_clone`), ``max_social_cost`` included.
         """
-        return RMGPInstance(self.graph, self.classes, cost, self.alpha)
+        cost = self._aligned_cost(cost)
+        self.max_social_cost.flags.writeable = False
+        clone = self._clone(cost, self.alpha)
+        clone.max_social_cost = self.max_social_cost
+        return clone
 
     def with_alpha(self, alpha: float) -> "RMGPInstance":
-        """Clone this instance with a different preference parameter."""
-        return RMGPInstance(self.graph, self.classes, self.cost, alpha)
+        """Clone this instance with a different preference parameter.
+
+        ``α`` never touches adjacency: the clone shares the graph-derived
+        arrays (see :meth:`_clone`) and computes only its own
+        ``max_social_cost = (1 - α)·W``.
+        """
+        if not 0.0 < alpha < 1.0:
+            raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
+        clone = self._clone(self.cost, float(alpha))
+        clone.max_social_cost = (1.0 - clone.alpha) * self._half_strength
+        return clone
+
+    #: Graph-derived arrays a clone shares with the instance it came from.
+    _SHARED_ARRAYS = (
+        "indptr", "indices", "weights", "half_weights", "edge_owner",
+        "_degrees", "_half_strength",
+    )
+    #: The arrays :meth:`update_edge_weight` writes in place.
+    _WEIGHT_ARRAYS = (
+        "weights", "half_weights", "_half_strength", "max_social_cost",
+    )
+
+    def _clone(self, cost: CostProvider, alpha: float) -> "RMGPInstance":
+        """A new instance over this one's graph, node order and CSR.
+
+        Nothing is rebuilt: the clone shares ``graph``, ``classes``,
+        ``node_ids``, ``index_of`` and the :attr:`_SHARED_ARRAYS` as they
+        stand at the last (re)build.  The shared arrays become read-only
+        on both sides, and this instance drops its scratch buffers (the
+        clone never gets any), so a later :meth:`rebuild_adjacency` on
+        either side allocates private arrays and
+        :meth:`update_edge_weight` copies before it writes: neither side
+        ever sees the other's write.
+        """
+        for name in self._SHARED_ARRAYS:
+            getattr(self, name).flags.writeable = False
+        self.__dict__.pop("_csr_scratch", None)
+        clone = RMGPInstance.__new__(RMGPInstance)
+        clone.graph, clone.classes = self.graph, self.classes
+        clone.alpha, clone.cost = alpha, cost
+        clone.node_ids, clone.index_of = self.node_ids, self.index_of
+        for name in self._SHARED_ARRAYS:
+            setattr(clone, name, getattr(self, name))
+        return clone
 
     # ------------------------------------------------------------------
     def assignment_to_labels(

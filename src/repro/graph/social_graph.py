@@ -259,14 +259,18 @@ class SocialGraph:
 
         Used for area-of-interest queries where "only the users who
         recently checked-in that area, and the corresponding induced
-        sub-graph, are relevant" (Section 1).
+        sub-graph, are relevant" (Section 1).  Nodes and edges keep this
+        graph's insertion order whatever the order (or hashing) of
+        ``nodes``, so the same area query always yields the same
+        instance row order.
         """
         keep = set(nodes)
         missing = keep - self._adj.keys()
         if missing:
             raise GraphError(f"nodes not in graph: {sorted(map(repr, missing))[:5]}")
-        sub = SocialGraph(keep)
-        for u in keep:
+        order = [node for node in self._adj if node in keep]
+        sub = SocialGraph(order)
+        for u in order:
             for v, w in self._adj[u].items():
                 if v in keep and not sub.has_edge(u, v):
                     sub.add_edge(u, v, w)

@@ -1,5 +1,9 @@
 """Unit tests for the LAGP application."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.apps import Event, LAGPTask, Rectangle
@@ -63,6 +67,13 @@ class TestQueries:
         assert sorted(result.participants) == [0, 1]
         assert set(result.recommendation) == {0, 1}
 
+    def test_area_query_is_independent_of_hash_seed(self):
+        """String ids hash differently per process; the subgraph of an
+        area query keeps the graph's node order, so the solved
+        assignment (index space) is the same under any hash seed."""
+        hashes = {_area_query_hash(seed) for seed in ("1", "2")}
+        assert len(hashes) == 1, hashes
+
     def test_empty_area_rejected(self, task):
         area = Rectangle(100.0, 100.0, 101.0, 101.0)
         with pytest.raises(ConfigurationError):
@@ -103,6 +114,46 @@ class TestQueries:
         assert game.alpha == 0.3
         assert len(participants) == 4
         assert len(events) == 2
+
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+
+_AREA_QUERY = """
+import hashlib
+import random
+
+import numpy as np
+
+from repro.apps import Event, LAGPTask, Rectangle
+from repro.graph import SocialGraph
+
+rng = random.Random(5)
+ids = [f"u{i}" for i in range(60)]
+graph = SocialGraph(ids)
+for i in range(60):
+    for j in rng.sample(range(60), 3):
+        if j != i:
+            graph.add_edge(ids[i], ids[j], rng.uniform(0.5, 2.0))
+checkins = {u: (rng.uniform(0, 10), rng.uniform(0, 10)) for u in ids}
+events = [
+    Event(f"e{j}", (rng.uniform(0, 10), rng.uniform(0, 10))) for j in range(4)
+]
+result = LAGPTask(graph, checkins, events).query(
+    area=Rectangle(2.0, 2.0, 8.0, 8.0), seed=1
+)
+assignment = np.asarray(result.partition.assignment, dtype=np.int64)
+print(hashlib.sha256(assignment.tobytes()).hexdigest())
+"""
+
+
+def _area_query_hash(hash_seed: str) -> str:
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)
+    done = subprocess.run(
+        [sys.executable, "-c", _AREA_QUERY], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
 
 
 class TestEventStr:

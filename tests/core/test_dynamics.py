@@ -4,12 +4,33 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core import initial_assignment, player_order
+from repro.core import RMGPInstance, initial_assignment, player_order
 from repro.core.dynamics import RoundClock, check_round_budget
 from repro.errors import ConfigurationError, ConvergenceError
+from repro.graph import SocialGraph
 
 from tests.core.conftest import random_instance
+
+
+def _instance_on(n, edges):
+    graph = SocialGraph(range(n))
+    for u, v in edges:
+        graph.add_edge(u, v, 1.0)
+    return RMGPInstance(graph, [0, 1], np.zeros((n, 2)))
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=25))
+    if n < 2:
+        return n, []
+    pair = st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1)
+    ).filter(lambda e: e[0] != e[1])
+    return n, draw(st.lists(pair, max_size=3 * n))
 
 
 class TestInitialAssignment:
@@ -71,6 +92,20 @@ class TestPlayerOrder:
     def test_degree_ties_by_index(self):
         instance = random_instance(edge_probability=0.0, seed=0)
         assert player_order(instance, "degree") == list(range(instance.n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_graphs())
+    @example((0, []))
+    @example((6, [(i, (i + 1) % 6) for i in range(6)]))  # all-equal degrees
+    @example((7, [(0, 1), (0, 2), (3, 4)]))  # ties and isolated players
+    def test_degree_matches_key_sort_spec(self, graph_spec):
+        """Descending degree, ties by index."""
+        instance = _instance_on(*graph_spec)
+        deg = instance.degrees().tolist()
+        spec = sorted(range(instance.n), key=lambda v: (-deg[v], v))
+        order = player_order(instance, "degree")
+        assert order == spec
+        assert all(type(v) is int for v in order)
 
     def test_unknown_method(self, instance):
         with pytest.raises(ConfigurationError):

@@ -83,6 +83,20 @@ class TestNormalize:
         assert normalized.alpha == instance.alpha
         assert normalized.graph is instance.graph
 
+    @pytest.mark.parametrize("solver", ["gt", "b", "vec"])
+    def test_clone_solves_like_a_fresh_build(self, solver):
+        """``with_cost`` shares the parent's CSR and ``max_social_cost``;
+        the normalized solve must equal one on a from-scratch instance."""
+        base = scaled_instance(100.0, seed=4)
+        normalized, _ = normalize(base, "pessimistic")
+        fresh = RMGPInstance(
+            base.graph, base.classes, normalized.cost, alpha=base.alpha
+        )
+        ours = partition(normalized, solver=solver, seed=2)
+        theirs = partition(fresh, solver=solver, seed=2)
+        np.testing.assert_array_equal(ours.assignment, theirs.assignment)
+        assert ours.value == theirs.value
+
     def test_normalization_balances_components(self):
         """After pessimistic normalization the two cost scales are close.
 

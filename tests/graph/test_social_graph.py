@@ -164,6 +164,17 @@ class TestDerived:
         assert sub.num_edges == 3
         assert 4 not in sub
 
+    def test_subgraph_keeps_graph_order(self):
+        graph = SocialGraph.from_edges(
+            [("c", "a"), ("a", "d"), ("d", "b"), ("b", "c"), ("e", "a")]
+        )
+        for keep in (["b", "a", "d", "c"], ["d", "c", "b", "a"], {"a", "b", "c", "d"}):
+            sub = graph.subgraph(keep)
+            assert sub.nodes() == ["c", "a", "d", "b"]
+            assert list(sub.edges()) == [
+                ("c", "a", 1.0), ("c", "b", 1.0), ("a", "d", 1.0), ("d", "b", 1.0)
+            ]
+
     def test_subgraph_missing_node(self):
         with pytest.raises(GraphError):
             triangle().subgraph([1, 99])
