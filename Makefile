@@ -36,9 +36,10 @@ bench-output:
 # Solver perf-regression check against benchmarks/BENCH_core.json.
 # Stale bytecode must never leak into a timing run: purge cached
 # benchmark bytecode first and run with -B so none is written back.
+# --no-history: a local check leaves no benchmarks/history/core.jsonl.
 bench-perf:
 	find benchmarks -name __pycache__ -type d -exec rm -rf {} +
-	$(PYTHON) -B benchmarks/bench_perf_regression.py --check --profile core --strict
+	$(PYTHON) -B benchmarks/bench_perf_regression.py --check --profile core --strict --no-history
 
 bench-perf-update:
 	find benchmarks -name __pycache__ -type d -exec rm -rf {} +

@@ -142,9 +142,6 @@ class ActiveSet:
         """Unflag ``players`` after their best responses were computed."""
         self.flags[players] = False
 
-    def is_dirty(self, player: int) -> bool:
-        return bool(self.flags[player])
-
     def any_dirty(self) -> bool:
         """True while the frontier is non-empty (game may be unquiet)."""
         return bool(self.flags.any())
@@ -152,17 +149,6 @@ class ActiveSet:
     def count(self) -> int:
         """Current frontier size (the accurate ``players_examined``)."""
         return int(self.flags.sum())
-
-    def pending(self, members: Optional[np.ndarray] = None) -> np.ndarray:
-        """Dirty player indices, optionally restricted to ``members``.
-
-        With ``members`` given, the result preserves ``members`` order —
-        what the group-batched solvers need to keep their sweep schedule.
-        """
-        if members is None:
-            return np.flatnonzero(self.flags)
-        members = np.asarray(members, dtype=np.int64)
-        return members[self.flags[members]]
 
 
 class RoundClock:

@@ -24,8 +24,9 @@ from typing import Optional
 import numpy as np
 
 from repro.core import dynamics
+from repro.core.independent_sets import batch_moves, build_batches
 from repro.core.instance import RMGPInstance
-from repro.core.objective import player_strategy_costs, potential
+from repro.core.objective import potential
 from repro.core.result import PartitionResult
 from repro.errors import ConfigurationError
 from repro.obs.recorder import Recorder
@@ -91,14 +92,20 @@ class _SimultaneousLoop(dynamics.RoundLoop):
 
     def init(self, span) -> None:
         self.assignment = self.initial_assignment()
+        self.batch = self._snapshot_batch()
         self.phi = potential(self.instance, self.assignment)
         self.seen_states = {self.assignment.tobytes()}
         self.potential_increases = 0
         self.best_assignment = self.assignment.copy()
         self.best_potential = self.phi
 
+    def _snapshot_batch(self):
+        """All ``n`` players as one batch (rebuilt, never checkpointed)."""
+        return build_batches(self.instance, [range(self.instance.n)])[0]
+
     def restore(self, state) -> None:
         n = self.instance.n
+        self.batch = self._snapshot_batch()
         self.seen_states = {bytes.fromhex(h) for h in state["seen"]}
         self.potential_increases = int(state["potential_increases"])
         self.phi = float(state["last_potential"])
@@ -125,24 +132,15 @@ class _SimultaneousLoop(dynamics.RoundLoop):
         # suppresses the execution, never the convergence test —
         # otherwise an unlucky round of coin flips would end the game at
         # a non-equilibrium.
-        instance, assignment, rng = self.instance, self.assignment, self.rng
-        damping = self.damping
-        proposals = assignment.copy()
-        deviations = 0
-        for player in range(instance.n):
-            costs = player_strategy_costs(instance, assignment, player)
-            current = int(assignment[player])
-            best = int(costs.argmin())
-            if (
-                best != current
-                and costs[best] < costs[current] - dynamics.DEVIATION_TOLERANCE
-            ):
-                deviations += 1
-                if rng.random() < damping:
-                    proposals[player] = best
+        instance, rng, damping = self.instance, self.rng, self.damping
+        movers, best = batch_moves(instance, self.batch, self.assignment)
+        # One damping draw per would-be mover, in player-index order.
+        moves = np.array([rng.random() < damping for _ in movers], dtype=bool)
+        proposals = self.assignment.copy()
+        proposals[movers[moves]] = best[moves]
         self.assignment = proposals
         self.previous_phi, self.phi = self.phi, potential(instance, proposals)
-        return deviations, instance.n, instance.n * instance.k
+        return int(movers.size), instance.n, instance.n * instance.k
 
     def after_round(self, deviations: int) -> bool:
         phi = self.phi
