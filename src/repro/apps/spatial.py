@@ -112,6 +112,11 @@ _BLOCK_CELLS = 1 << 16
 _TIE_MARGIN = 2.0 ** -40
 
 
+#: The tie margin on squared distances: a relative gap of ``2m`` between
+#: squares is a gap of about ``m`` between their square roots.
+_SQUARE_MARGIN = 2.0 * _TIE_MARGIN
+
+
 def _margin(distance):
     """Tie margin around ``distance`` (floored for subnormal values)."""
     return (distance + sys.float_info.min) * _TIE_MARGIN
@@ -168,9 +173,9 @@ class PointIndex:
         ``(math.hypot distance, insertion position)``: nearest first,
         exact ties in insertion order.  Query rows are answered in
         blocks: squared distances select each row's ``count + 1``
-        nearest candidates, ``np.hypot`` orders them, and a row whose
-        order any tie margin leaves in doubt is decided by
-        :meth:`_exact` (see DESIGN.md §2.5.1).
+        nearest candidates and order them, and a row whose order the
+        tie margin leaves in doubt is decided by :meth:`_exact` (see
+        DESIGN.md §2.5.1).
         """
         if count <= 0:
             raise ConfigurationError("count must be positive")
@@ -193,19 +198,20 @@ class PointIndex:
                 square += dy
             del dy
             picks = np.argpartition(square, width - 1, axis=1)[:, :width]
-            # Squares of normal magnitude carry a few ulp of relative
-            # error, like the distances; an overflowed or underflowed
-            # square does not, so such a row takes the exact path.
-            last = np.take_along_axis(square, picks[:, -1:], axis=1)[:, 0]
-            with np.errstate(over="ignore"):
-                dist = np.hypot(bx - self._x[picks], by - self._y[picks])
-            order = np.lexsort((picks, dist), axis=1)
+            square = np.take_along_axis(square, picks, axis=1)
+            order = np.argsort(square, axis=1)
             picks = np.take_along_axis(picks, order, axis=1)
-            dist = np.take_along_axis(dist, order, axis=1)
+            square = np.take_along_axis(square, order, axis=1)
+            # Squares of normal magnitude carry a few ulp of relative
+            # error; an overflowed or a nonzero underflowed one does
+            # not, so such a row takes the exact path.  A zero square
+            # is below every normal one in any exact order too.
+            with np.errstate(invalid="ignore"):
+                gaps = np.diff(square, axis=1) > square[:, 1:] * _SQUARE_MARGIN
             clear = (
-                (last >= sys.float_info.min)
-                & (last < math.inf)
-                & np.all(np.diff(dist, axis=1) > _margin(dist[:, 1:]), axis=1)
+                (square[:, -1] < math.inf)
+                & ~np.any((square > 0.0) & (square < sys.float_info.min), axis=1)
+                & np.all(gaps, axis=1)
             )
             heads = self._ids[picks[:, :count]].tolist()
             for row in np.flatnonzero(~clear).tolist():

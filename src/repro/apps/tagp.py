@@ -65,7 +65,7 @@ def user_documents(threads: Sequence[DiscussionThread]) -> Dict[NodeId, str]:
     """Concatenate each user's thread texts into one profile document."""
     profiles: Dict[NodeId, List[str]] = {}
     for thread in threads:
-        for user in set(thread.participants):
+        for user in dict.fromkeys(thread.participants):
             profiles.setdefault(user, []).append(thread.text)
     return {user: " ".join(texts) for user, texts in profiles.items()}
 

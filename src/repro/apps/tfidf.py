@@ -67,7 +67,7 @@ def fit_tfidf(documents: Iterable[str]) -> TfIdfModel:
         raise ConfigurationError("tf-idf needs at least one document")
     document_frequency: Dict[str, int] = {}
     for document in documents:
-        for term in set(tokenize(document)):
+        for term in dict.fromkeys(tokenize(document)):
             document_frequency[term] = document_frequency.get(term, 0) + 1
     n = len(documents)
     idf = {

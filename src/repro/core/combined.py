@@ -123,7 +123,7 @@ class _CombinedLoop(dynamics.RoundLoop):
             self.plan = build_elimination_plan(self.instance)
         self.fixed_mask = self.plan.fixed_class >= 0
         self.groups = checked_groups(
-            state["groups"], n, count=n - self.plan.num_fixed
+            state["groups"], self.instance, count=n - self.plan.num_fixed
         )
         self.table = dynamics.checked_array(
             state["table"], (n, k), np.float64, "table"

@@ -43,7 +43,7 @@ from repro.core import dynamics
 from repro.core.exact import ExactPayload, exact_batched_moves, exact_payload
 from repro.core.instance import RMGPInstance, concat_ranges
 from repro.core.result import PartitionResult
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DataError
 from repro.graph.coloring import color_groups, greedy_coloring, is_proper_coloring
 from repro.obs.recorder import Recorder
 from repro.runtime.budget import RuntimeBudget
@@ -156,14 +156,23 @@ def ordered_groups(
 
 
 def checked_groups(
-    groups, n: int, count: Optional[int] = None
+    groups, instance: RMGPInstance, count: Optional[int] = None
 ) -> List[List[int]]:
     """Checkpointed color groups, refused unless they partition the
-    players (``count`` of them; default all ``n``)."""
+    players (``count`` of them; default all ``n``) into independent
+    sets: no edge may join two members of one group, whose batched
+    best responses would otherwise chase each other."""
+    n = instance.n
     groups = [[int(p) for p in group] for group in groups]
     dynamics.checked_players(
         [p for group in groups for p in group], n, "groups", count
     )
+    group_of = np.full(n, -1, dtype=np.int64)
+    for g, group in enumerate(groups):
+        group_of[group] = g
+    owner_group = group_of[instance.edge_owner]
+    if np.any((owner_group >= 0) & (owner_group == group_of[instance.indices])):
+        raise DataError("checkpoint groups must be independent sets of the graph")
     return groups
 
 
@@ -329,7 +338,7 @@ class GroupRoundLoop(dynamics.RoundLoop):
         # The coloring is checkpointed (a caller-supplied coloring or
         # greedy tie-breaks need not be rebuilt identically); batch
         # arrays are pure functions of (instance, groups).
-        self.groups = checked_groups(state["groups"], self.instance.n)
+        self.groups = checked_groups(state["groups"], self.instance)
         self.batches = build_batches(self.instance, self.groups)
 
     def state(self):

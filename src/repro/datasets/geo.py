@@ -10,8 +10,9 @@ and hub users for the degree-ordering heuristic).
 
 from __future__ import annotations
 
+import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from itertools import accumulate
 from typing import Dict, List, Sequence
 
@@ -30,6 +31,8 @@ def metro_positions(
     """Sample user home positions from a mixture of Gaussian metros."""
     if len(centers) != len(weights) or not centers:
         raise DataError("need matching, non-empty centers and weights")
+    if not all(0.0 <= w < math.inf for w in weights):
+        raise DataError("metro weights must be finite and non-negative")
     total = sum(weights)
     if total <= 0:
         raise DataError("metro weights must sum to a positive value")
@@ -38,10 +41,12 @@ def metro_positions(
     for w in weights:
         acc += w / total
         cumulative.append(acc)
+    # The rounded sum may end just below 1.0; a draw above it takes the
+    # last metro, as the scan of the exact sum would.
+    last = len(cumulative) - 1
     positions: List[Point] = []
     for _ in range(num_users):
-        draw = rng.random()
-        which = next(i for i, c in enumerate(cumulative) if draw <= c)
+        which = min(bisect_left(cumulative, rng.random()), last)
         cx, cy = centers[which]
         positions.append(
             (rng.gauss(cx, spread_km), rng.gauss(cy, spread_km))
@@ -83,38 +88,49 @@ def homophilous_friendships(
         raise DataError("target_avg_degree must be in (0, n)")
 
     mean_slots = target_avg_degree / 2.0
-    graph = SocialGraph(range(n))
     index = PointIndex(dict(enumerate(positions)))
     degree_bonus = [1.0] * n
     # The index is static and draws nothing from ``rng``, so every pool
     # can be answered up front without moving the random stream.
     pools = index.nearest_many(positions, candidate_pool + 1)
+    # Friendships so far as packed keys ``min * n + max``, and as the
+    # edge list in acceptance order that builds the graph at the end.
+    linked = set()
+    edges = []
 
     for user in range(n):
         slots = _pareto_slots(mean_slots, hub_exponent, rng)
-        near = [c for c in pools[user] if c != user]
-        # Prefix sums of the pool's popularity weights, patched as the
-        # weights grow (see ``_pick_slot``).
-        prefix = list(accumulate([degree_bonus[c] for c in near]))
+        pool = pools[user]
+        # A user is the head of its own pool unless a duplicate
+        # position inserted earlier ties it at distance 0.
+        near = pool[1:] if pool[0] == user else [c for c in pool if c != user]
+        # Prefix sums of the pool's popularity weights as the user's
+        # loop starts, and the pool slots it has linked since, each of
+        # which added 1 to its own weight (see ``_pick_slot``).
+        base = list(accumulate(map(degree_bonus.__getitem__, near)))
+        taken: List[int] = []
         for _ in range(slots):
             # Retry collisions a few times so duplicate picks do not
             # silently erode the target average degree.
             for _attempt in range(4):
                 if near and rng.random() < local_fraction:
-                    slot = _pick_slot(prefix, rng)
+                    slot = _pick_slot(base, taken, rng)
                     friend = near[slot]
                 else:
                     friend = rng.randrange(n)
                     slot = near.index(friend) if friend in near else None
-                if friend != user and not graph.has_edge(user, friend):
-                    graph.add_edge(user, friend, 1.0)
+                if friend == user:
+                    continue
+                key = user * n + friend if user < friend else friend * n + user
+                if key not in linked:
+                    linked.add(key)
+                    edges.append((user, friend))
                     degree_bonus[user] += 1.0
                     degree_bonus[friend] += 1.0
                     if slot is not None:
-                        for k in range(slot, len(prefix)):
-                            prefix[k] += 1.0
+                        insort(taken, slot)
                     break
-    return graph
+    return SocialGraph.from_edges(edges, nodes=range(n))
 
 
 def _pareto_slots(mean: float, exponent: float, rng: random.Random) -> int:
@@ -131,13 +147,30 @@ def _pareto_slots(mean: float, exponent: float, rng: random.Random) -> int:
     return floor + (1 if rng.random() < value - floor else 0)
 
 
-def _pick_slot(prefix: List[float], rng: random.Random) -> int:
-    """Pool slot drawn proportionally to its weight, given weight prefix sums.
+def _pick_slot(base: List[float], taken: List[int], rng: random.Random) -> int:
+    """Pool slot drawn proportionally to its weight.
 
-    The first slot whose prefix sum reaches a uniform draw over the
-    total, as a linear scan of the running sum finds it.  The weights
-    are integer-valued floats below 2^53, so every prefix sum is exact
-    in any summation order and the pick is the scan's.
+    The slot weights' prefix sums are ``prefix[k] = base[k] + #(taken
+    <= k)``: ``base`` holds the sums as the user's loop started, and
+    ``taken`` the slots it has linked since, sorted, one entry per +1.
+    The pick is the first slot whose prefix sum reaches a uniform draw
+    over the total, as a linear scan of the running sum finds it.  No
+    slot before ``bisect_left(base, draw - len(taken))`` can reach the
+    draw, so the scan starts there.  The weights are integer-valued
+    floats below 2^53, so every sum and comparison is exact and the
+    pick is the scan's.
     """
-    draw = rng.random() * prefix[-1]
-    return min(bisect_left(prefix, draw), len(prefix) - 1)
+    linked = len(taken)
+    draw = rng.random() * (base[-1] + linked)
+    last = len(base) - 1
+    slot = bisect_left(base, draw - linked)
+    if slot >= last or not linked:
+        return min(slot, last)
+    passed = bisect_right(taken, slot)
+    while base[slot] + passed < draw:
+        slot += 1
+        if slot == last:
+            break
+        while passed < linked and taken[passed] == slot:
+            passed += 1
+    return slot

@@ -43,12 +43,11 @@ class SocialGraph:
     """
 
     def __init__(self, nodes: Optional[Iterable[NodeId]] = None) -> None:
-        self._adj: Dict[NodeId, Dict[NodeId, float]] = {}
+        self._adj: Dict[NodeId, Dict[NodeId, float]] = (
+            {} if nodes is None else {node: {} for node in nodes}
+        )
         self._num_edges = 0
         self._total_weight = 0.0
-        if nodes is not None:
-            for node in nodes:
-                self.add_node(node)
 
     # ------------------------------------------------------------------
     # Construction
@@ -64,15 +63,39 @@ class SocialGraph:
 
         Unweighted pairs receive ``default_weight`` (the paper's datasets
         use unit weights).  Duplicate edges keep the *last* weight seen.
+
+        One bulk pass with :meth:`add_edge`'s exact effect, edge after
+        edge: ``nodes`` first, then each new endpoint in order of first
+        appearance; every adjacency dict in edge order; the same
+        :class:`GraphError` on a self-loop or non-positive weight; and
+        the total weight summed in the same order.
         """
         graph = cls(nodes)
+        adj = graph._adj
+        num_edges = 0
+        total = 0.0
         for edge in edges:
             if len(edge) == 2:
                 u, v = edge  # type: ignore[misc]
                 w = default_weight
             else:
                 u, v, w = edge  # type: ignore[misc]
-            graph.add_edge(u, v, w)
+            if u == v:
+                raise GraphError(f"self-loop on node {u!r}")
+            if w <= 0:
+                raise GraphError(f"edge ({u!r}, {v!r}) has non-positive weight {w}")
+            u_nbrs = adj.setdefault(u, {})
+            v_nbrs = adj.setdefault(v, {})
+            previous = u_nbrs.get(v)
+            if previous is None:
+                num_edges += 1
+            else:
+                total -= previous
+            u_nbrs[v] = w
+            v_nbrs[u] = w
+            total += w
+        graph._num_edges = num_edges
+        graph._total_weight = total
         return graph
 
     @classmethod

@@ -287,6 +287,27 @@ class TestNearestMany:
             [2, 1, 0], [3, 2, 1],
         ]
 
+    def test_square_gap_inside_the_margin_takes_the_exact_path(self):
+        # Equal math.hypot distances (insertion position decides) whose
+        # squares differ by one ulp, in the other order.
+        a = (1.122901694889702, 1.2417869892607294)
+        b = (1.2951935655656968, 1.0608566212267372)
+        assert math.hypot(*a) == math.hypot(*b)
+        assert a[0] * a[0] + a[1] * a[1] > b[0] * b[0] + b[1] * b[1]
+        index = PointIndex({0: a, 1: b})
+        assert index.nearest_many([(0.0, 0.0)], 2) == [[0, 1]]
+
+    def test_subnormal_squares_take_the_exact_path(self):
+        # Nonzero subnormal squares 0.4% apart, in the opposite order
+        # to the distances: a subnormal has too few bits to order by.
+        a = (1.9901537977729362e-161, 2.8908351268104555e-161)
+        b = (1.8551817752244236e-161, 2.9789901358042435e-161)
+        assert math.hypot(*a) > math.hypot(*b)
+        assert a[0] * a[0] + a[1] * a[1] < b[0] * b[0] + b[1] * b[1]
+        index = PointIndex({0: a, 1: b})
+        assert index.nearest_many([(0.0, 0.0)], 2) == [[1, 0]]
+        assert index.nearest((0.0, 0.0), 1) == [1]
+
     def test_many_queries_in_one_cell(self):
         # More queries than one block of rows, all in one small square.
         rng = random.Random(5)

@@ -1,5 +1,9 @@
 """Unit tests for the TAGP application."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.apps import (
@@ -99,3 +103,43 @@ class TestTask:
         )
         assert set(placement) == set(task.graph.nodes())
         assert partition.converged
+
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+
+#: One TAGP answer over string user ids: the profile, vocabulary and
+#: graph orders, the cost matrix bytes and the placement.
+_ANSWER_SCRIPT = """
+import hashlib, json
+from repro.apps import DiscussionThread, TAGPTask, user_documents
+from repro.datasets.forum import forum_like
+forum = forum_like(num_users=80, seed=5)
+threads = [
+    DiscussionThread(t.thread_id, t.text, [f"user-{p}" for p in t.participants])
+    for t in forum.threads
+]
+task = TAGPTask(threads)
+ads = forum.default_advertisements()
+placement, result = task.place_advertisements(ads, method="all", seed=0)
+print(json.dumps([
+    list(user_documents(threads)), list(task.model.idf), task.graph.nodes(),
+    hashlib.sha256(task.cost_matrix(ads).tobytes()).hexdigest(),
+    [[user, ad.ad_id] for user, ad in placement.items()],
+    result.converged,
+]))
+"""
+
+
+def test_answer_does_not_follow_string_hashing():
+    """Set iteration order follows the per-process string hash salt; a
+    TAGP answer over string ids must not."""
+    answers = []
+    for hashseed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hashseed)
+        done = subprocess.run(
+            [sys.executable, "-c", _ANSWER_SCRIPT], capture_output=True,
+            text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        answers.append(done.stdout)
+    assert answers[0] == answers[1]

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from bisect import insort
 from itertools import accumulate
 from typing import List, Sequence
 
@@ -37,21 +38,22 @@ def _weighted_choice(
     seed=st.integers(0, 2**32 - 1),
 )
 def test_prefix_draw_matches_linear_scan(pool, patches, seed):
-    """Integer-valued weights, seeded draws and random suffix patches:
-    the bisect over patched prefix sums picks what the scan picks."""
+    """Integer-valued weights, seeded draws and random +1 patches: the
+    draw over the base prefix sums and the sorted patched slots picks
+    what the scan over the patched weights picks."""
     candidates = list(range(len(pool)))
     weights = [float(w) for w in pool]
-    prefix = list(accumulate(weights))
+    base = list(accumulate(weights))
+    taken: List[int] = []
     scan_rng, bisect_rng = random.Random(seed), random.Random(seed)
     for patch in [None, *patches]:
         if patch is not None:
             slot = patch % len(candidates)
             weights[candidates[slot]] += 1.0
-            for k in range(slot, len(prefix)):
-                prefix[k] += 1.0
+            insort(taken, slot)
         for _ in range(3):
             expected = _weighted_choice(candidates, weights, scan_rng)
-            assert candidates[_pick_slot(prefix, bisect_rng)] == expected
+            assert candidates[_pick_slot(base, taken, bisect_rng)] == expected
 
 
 def test_build_does_not_import_scipy():

@@ -6,6 +6,11 @@ or the float arithmetic of the generators shows up here.  The sizes and
 seeds are the ones the repository benchmark builds: ``cold`` (600 users,
 16 events), ``churn``'s base graph (2,000 x 16) and a ``query`` graph
 (3,000 x 128).
+
+A second hash covers the graph in iteration order: the node order, the
+``edges()`` order and every adjacency dict's order.  Edge iteration,
+``subgraph``, Forest Fire sampling and ``relabeled`` all follow those
+dict orders, which the sorted edge list cannot see.
 """
 
 import hashlib
@@ -27,6 +32,15 @@ def _fingerprint(dataset) -> str:
         (e.event_id, list(e.location), e.name) for e in dataset.events
     ]
     blob = json.dumps([edges, checkins, events], separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _order_fingerprint(graph) -> str:
+    nodes = graph.nodes()
+    adjacency = [list(graph.neighbors(u).items()) for u in nodes]
+    blob = json.dumps(
+        [nodes, list(graph.edges()), adjacency], separators=(",", ":")
+    )
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -52,3 +66,29 @@ PINS = [
 def test_dataset_bytes_are_pinned(factory, users, events, seed, digest):
     dataset = factory(num_users=users, num_events=events, seed=seed)
     assert _fingerprint(dataset) == digest
+
+
+ORDER_PINS = {
+    "gowalla_like-600x16-seed63433660":
+        "d226ce4c59f3cdce6340e48d1fb7e152910037cfb5d258070d56eae7c3a38118",
+    "gowalla_like-600x16-seed62196003":
+        "56d765f703265a37fd00154475124986d4348eda14c961df0d6f5ed32deac58b",
+    "gowalla_like-2000x16-seed522648":
+        "41a4b3061547a53cefcf38c64a8b982cf4c19d9462cfdd95a298a7704a4a6cc6",
+    "foursquare_like-600x16-seed7":
+        "c30e4ed50b711fa703622041b7392cde51b45610ed4a4faff8db0c46f6de95d7",
+    "gowalla_like-3000x128-seed707440":
+        "4d594e4e9566c8ca7c8959b07d8dd867a9ba3b6c9834fcb0a32f080021a4f3b6",
+}
+
+
+@pytest.mark.parametrize(
+    "factory, users, events, seed",
+    [pin[:4] for pin in PINS],
+    ids=[f"{f.__name__}-{u}x{k}-seed{s}" for f, u, k, s, _ in PINS],
+)
+def test_graph_iteration_order_is_pinned(factory, users, events, seed):
+    dataset = factory(num_users=users, num_events=events, seed=seed)
+    key = f"{factory.__name__}-{users}x{events}-seed{seed}"
+    assert _order_fingerprint(dataset.graph) == ORDER_PINS[key]
+    assert dataset.graph.total_edge_weight() == dataset.graph.num_edges

@@ -39,6 +39,30 @@ class TestMetroPositions:
             metro_positions(10, [(0, 0)], [0.0], 1.0, random.Random(0))
 
 
+    def test_draw_above_rounded_sum_takes_last_metro(self):
+        # Seven equal weights sum to 0.9999999999999998 cumulatively;
+        # a draw above that belongs to the last metro.
+        class TopDraw:
+            def random(self):
+                return 0.9999999999999999
+
+            def gauss(self, mu, sigma):
+                return mu
+
+        centers = [(float(i), 0.0) for i in range(7)]
+        positions = metro_positions(3, centers, [1.0] * 7, 1.0, TopDraw())
+        assert positions == [(6.0, 0.0)] * 3
+
+    @pytest.mark.parametrize(
+        "weights", [[1.0, -0.5], [1.0, float("nan")], [1.0, float("inf")]]
+    )
+    def test_rejects_negative_or_non_finite_weights(self, weights):
+        with pytest.raises(DataError):
+            metro_positions(
+                10, [(0, 0), (1, 1)], weights, 1.0, random.Random(0)
+            )
+
+
 class TestFriendships:
     def test_average_degree_near_target(self):
         rng = random.Random(2)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import GraphError
 from repro.graph import SocialGraph, cut_weight, forest_fire_sample
 
 
@@ -114,3 +115,40 @@ def test_cut_plus_internal_equals_total(edges, label_bits):
         graph.total_edge_weight()
     )
     assert 0.0 <= cut <= graph.total_edge_weight() + 1e-12
+
+
+def _add_edge_loop(edges, nodes):
+    """The reference ``from_edges`` must equal: one ``add_edge`` per
+    tuple, in order, after pre-inserting ``nodes``."""
+    graph = SocialGraph(nodes)
+    for u, v, w in edges:
+        graph.add_edge(u, v, w)
+    return graph
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    edges=edges_strategy(),
+    nodes=st.lists(st.integers(0, 15), max_size=8),
+)
+def test_from_edges_is_the_add_edge_loop(edges, nodes):
+    """Same node order, adjacency dict orders, counts and bit-equal
+    total weight as inserting the edges one by one."""
+    bulk = SocialGraph.from_edges(edges, nodes=nodes)
+    loop = _add_edge_loop(edges, nodes)
+    assert bulk.nodes() == loop.nodes()
+    for u in loop.nodes():
+        assert list(bulk.neighbors(u).items()) == list(loop.neighbors(u).items())
+    assert list(bulk.edges()) == list(loop.edges())
+    assert bulk.num_edges == loop.num_edges
+    assert bulk.total_edge_weight().hex() == loop.total_edge_weight().hex()
+
+
+@pytest.mark.parametrize("bad", [(2, 2, 1.0), (1, 2, 0.0), (1, 2, -1.0)])
+def test_from_edges_rejects_what_add_edge_rejects(bad):
+    edges = [(0, 1, 1.0), bad]
+    with pytest.raises(GraphError) as bulk:
+        SocialGraph.from_edges(edges)
+    with pytest.raises(GraphError) as loop:
+        _add_edge_loop(edges, None)
+    assert str(bulk.value) == str(loop.value)

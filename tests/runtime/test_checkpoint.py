@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from repro import partition
+from repro.core import RMGPInstance
 from repro.core.serialize import (
     CHECKPOINT_FORMAT_VERSION,
     load_checkpoint,
     save_checkpoint,
 )
 from repro.errors import DataError
+from repro.graph import SocialGraph
 from repro.obs import recording
 from repro.runtime import CountdownToken, SolveCheckpoint
 from repro.runtime.checkpoint import (
@@ -188,6 +190,36 @@ def _assert_fails_before_round_one(instance, name, kwargs, checkpoint):
         span for span in recorder.spans
         if span.name == "round" and span.attrs.get("round", 0) >= 1
     ]
+
+
+def _oscillator():
+    """Two friends who each prefer the other's class (the sync
+    oscillator): in one group their batched best responses swap the
+    two classes every round."""
+    graph = SocialGraph.from_edges([(0, 1, 10.0)])
+    cost = np.array([[0.0, 0.1], [0.1, 0.0]])
+    return RMGPInstance(graph, ["a", "b"], cost, alpha=0.5)
+
+
+class TestCheckpointGroupsMustBeIndependentSets:
+    """Groups that partition the players but join two friends fail
+    closed on resume instead of oscillating to the round limit."""
+
+    @pytest.mark.parametrize("name", ["is", "all"])
+    def test_friends_in_one_group(self, tmp_path, name):
+        instance = _oscillator()
+        path = str(tmp_path / f"{name}.ckpt.json")
+        partial = partition(
+            instance, solver=name, seed=3, cancel_token=CountdownToken(0),
+            checkpoint_path=path,
+        )
+        assert partial.stop_reason == "cancelled"
+        checkpoint = load_checkpoint(path)
+        assert sorted(map(sorted, checkpoint.state["groups"])) == [[0], [1]]
+        checkpoint.state["groups"] = [[0, 1]]
+        with pytest.raises(DataError, match="independent sets"):
+            partition(instance, solver=name, seed=3, resume_from=checkpoint)
+        _assert_fails_before_round_one(instance, name, {}, checkpoint)
 
 
 class TestCorruptCheckpointFailsClosed:
