@@ -36,6 +36,9 @@ class CostProvider:
     num_classes: int
     #: number of players, n
     num_players: int
+    #: True when no one can write the costs in place, so anything
+    #: derived from them may be memoized (see :class:`MatrixCost`).
+    read_only = False
 
     def row(self, player: int) -> np.ndarray:
         """Costs of assigning ``player`` to each of the ``k`` classes.
@@ -71,6 +74,16 @@ class MatrixCost(CostProvider):
         self._matrix = matrix
         self.num_players = matrix.shape[0]
         self.num_classes = matrix.shape[1]
+
+    @property
+    def read_only(self) -> bool:
+        """True when the matrix is not writeable (``flags.writeable``).
+
+        A resident instance's matrix is frozen this way
+        (:mod:`repro.serve.store`); the incremental engine keeps its own
+        matrix writeable and rewrites it row by row.
+        """
+        return not self._matrix.flags.writeable
 
     def row(self, player: int) -> np.ndarray:
         return self._matrix[player].copy()

@@ -73,12 +73,7 @@ def initial_assignment(
             count=instance.n,
         )
     if method == "closest":
-        if instance.n == 0:
-            return np.empty(0, dtype=np.int64)
-        # One dense argmin instead of a per-player Python loop; providers
-        # that cannot materialize cheaply pay the same per-row work the
-        # loop did, matrix-backed providers become a single numpy call.
-        return instance.cost.dense().argmin(axis=1).astype(np.int64)
+        return instance.closest_classes()
     raise ConfigurationError(
         f"unknown init method {method!r}; expected one of {INIT_METHODS}"
     )
@@ -91,10 +86,7 @@ def player_order(
 ) -> List[int]:
     """Order in which a round examines players."""
     if method == "degree":
-        # Descending degree, ties by index: sorted(range(n), key=lambda v:
-        # (-degrees[v], v)) in one numpy pass.
-        degrees = instance.degrees()
-        return np.lexsort((np.arange(instance.n), -degrees)).tolist()
+        return instance.degree_order()
     players = list(range(instance.n))
     if method == "given":
         return players
@@ -205,14 +197,18 @@ def checked_players(
 def checked_array(
     value: Any, shape: Tuple[int, ...], dtype, what: str
 ) -> np.ndarray:
-    """A checkpointed array, refused unless shape and dtype match."""
+    """A checkpointed array, refused unless shape and dtype match.
+
+    Returns a private C-contiguous copy: a resumed solve writes its
+    state in place and must never write into the caller's checkpoint.
+    """
     array = np.asarray(value)
     if array.shape != shape or array.dtype != np.dtype(dtype):
         raise DataError(
             f"checkpoint {what} has shape {array.shape} and dtype "
             f"{array.dtype}, expected {shape} and {np.dtype(dtype)}"
         )
-    return array
+    return array.copy()
 
 
 class RoundLoop:
@@ -403,7 +399,7 @@ class RoundLoop:
                 f"checkpoint round trace has {len(rounds)} entries for "
                 f"round_index {checkpoint.round_index}"
             )
-        self.assignment = checkpoint.assignment
+        self.assignment = checkpoint.assignment.copy()
         if self.active is not None:
             self.active = ActiveSet(n, dirty=frontier)
         try:

@@ -6,10 +6,12 @@ adjacency (a single ``np.bincount`` scatter of all edge refunds), and the
 round loop runs on the shared dirty-frontier scheduler
 (:class:`repro.core.dynamics.ActiveSet`): a round only examines dirty
 players, and when a player deviates he notifies his friends — exactly two
-of each friend's table entries change (the old and new class), one
-vectorized fancy-index update per move — and marks them dirty.  The
-per-round cost therefore shrinks as the game approaches equilibrium
-(Figure 12(c)).
+of each friend's table entries change (the old and new class) — and
+marks them dirty.  The per-round cost therefore shrinks as the game
+approaches equilibrium (Figure 12(c)).  The solver's rounds run on
+:class:`BulkRounds`, which keeps every row's minimum up to date so a best
+response is a lookup; :func:`table_round`, the per-player argmin round
+it reproduces exactly, drives :class:`~repro.core.incremental.IncrementalRMGP`.
 
 The trade-off is O(|V|·k) memory; combined with strategy elimination the
 table can be restricted to each player's reduced strategy space, which is
@@ -18,13 +20,14 @@ what :mod:`repro.core.combined` does.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import dynamics
 from repro.core.instance import RMGPInstance
 from repro.core.result import PartitionResult
+from repro.errors import DataError
 from repro.obs.recorder import Recorder
 from repro.runtime.budget import RuntimeBudget
 
@@ -101,6 +104,123 @@ def table_round(
     return deviations, examined
 
 
+class BulkRounds:
+    """:func:`table_round`'s schedule, without a row argmin per player.
+
+    ``table_round`` pays a row ``argmin`` and a handful of numpy scalar
+    reads for every examined player, mover or not.  This kernel takes
+    one ``argmin(axis=1)`` over the whole table when it is created and
+    then *maintains* every row's first minimum (column and value) as
+    moves write the table:
+
+    * a move lowers ``table[f, new]`` and raises ``table[f, old]`` for
+      each friend ``f``; the lowered entry becomes the row's first
+      minimum when it is smaller, or equal at a smaller column; raising
+      the entry that *was* the first minimum marks the row stale;
+    * an examined player decides from its maintained minimum, and a
+      stale row is rescanned with the per-row ``argmin`` first.
+
+    The outcome is byte-identical to ``table_round``: the maintained
+    pair is exactly what ``row.argmin()`` and ``row[best]`` return,
+    since ``argmin`` returns the first minimum and no other entry of
+    the row changed, and the decision is the same
+    ``row[best] >= row[current] - tol`` comparison.  Moves write the
+    same element-wise ``x - ½·(1 − α)·w`` and ``x + ½·(1 − α)·w``
+    through a flat view of the table, with the per-graph linear keys
+    ``indices·k`` (:meth:`RMGPInstance.slot_keys`).  The round walks
+    the sweep with the flags in a ``bytearray`` and writes them back to
+    the :class:`~repro.core.dynamics.ActiveSet` as it ends, so every
+    round boundary sees the state ``table_round`` leaves.
+
+    The table must change only through this kernel while it is in use.
+    The comparisons assume every row minimum is finite; a table with a
+    non-finite row minimum (overflowing inputs) runs on ``table_round``.
+    """
+
+    def __init__(
+        self, instance: RMGPInstance, table: np.ndarray, sweep: Sequence[int]
+    ) -> None:
+        if not table.flags.c_contiguous:
+            raise ValueError("the table must be C-contiguous")
+        n = instance.n
+        self.instance, self.table = instance, table
+        self.flat = table.reshape(-1)  # a view: moves write through
+        best = table.argmin(axis=1)
+        #: Each row's minimum, ``table.min(axis=1)`` read through argmin.
+        self.row_min = table[np.arange(n), best]
+        self.finite = bool(np.isfinite(self.row_min).all())
+        self.best, self.mins = best.tolist(), self.row_min.tolist()
+        self.stale = bytearray(n)
+        self.sweep = sweep
+        self.indptr = instance.indptr.tolist()
+        self.keys = instance.slot_keys()
+        half = (1.0 - instance.alpha) * 0.5
+        self.deltas = half * instance.weights
+
+    def __call__(
+        self, assignment: np.ndarray, active: dynamics.ActiveSet
+    ) -> Tuple[int, int]:
+        """One round; returns ``(deviations, players_examined)``."""
+        table, flat = self.table, self.flat
+        if not self.finite:
+            return table_round(
+                self.instance, table, assignment, active, self.sweep
+            )
+        # ``item`` reads an entry as a Python float: the same double,
+        # cheaper arithmetic than a numpy scalar.
+        entry = flat.item
+        tol = dynamics.DEVIATION_TOLERANCE
+        k = table.shape[1]
+        best, mins, stale = self.best, self.mins, self.stale
+        indptr, indices = self.indptr, self.instance.indices
+        keys, deltas = self.keys, self.deltas
+        flags = bytearray(active.flags)
+        current_of = assignment.tolist()
+        deviations = 0
+        examined = 0
+        for player in self.sweep:
+            if not flags[player]:
+                continue
+            flags[player] = 0
+            examined += 1
+            if stale[player]:
+                row = table[player]
+                target = best[player] = int(row.argmin())
+                mins[player] = row.item(target)
+                stale[player] = 0
+            else:
+                target = best[player]
+            current = current_of[player]
+            # target == current: a finite minimum passes ``>= x - tol``.
+            if target == current or (
+                mins[player] >= entry(player * k + current) - tol
+            ):
+                continue
+            current_of[player] = target
+            assignment[player] = target
+            deviations += 1
+            lo, hi = indptr[player], indptr[player + 1]
+            for friend, key, delta in zip(
+                indices[lo:hi].tolist(), keys[lo:hi].tolist(),
+                deltas[lo:hi].tolist(),
+            ):
+                lowered = entry(key + target) - delta
+                flat[key + target] = lowered
+                flat[key + current] = entry(key + current) + delta
+                flags[friend] = 1
+                if stale[friend]:
+                    continue
+                low = mins[friend]
+                if lowered < low or (
+                    lowered == low and target < best[friend]
+                ):
+                    best[friend], mins[friend] = target, lowered
+                elif best[friend] == current:
+                    stale[friend] = 1
+        active.flags[:] = np.frombuffer(flags, dtype=bool)
+        return deviations, examined
+
+
 def _solve_global_table(
     instance: RMGPInstance,
     init: str = "closest",
@@ -141,20 +261,41 @@ class _GlobalTableLoop(dynamics.RoundLoop):
         self.sweep = dynamics.player_order(instance, self.order, self.rng)
         with self.rec.span("build_table"):
             self.table = build_global_table(instance, self.assignment)
+        self.rounds_kernel = BulkRounds(instance, self.table, self.sweep)
         # Initially dirty = not provably happy, matching Figure 5's first
-        # pass.
+        # pass: happiness()'s test, with the row minima the kernel read
+        # through its one argmin.
+        current = self.table[np.arange(instance.n), self.assignment]
         self.active = dynamics.ActiveSet(
-            instance.n, dirty=~happiness(self.table, self.assignment)
+            instance.n,
+            dirty=~(
+                current
+                <= self.rounds_kernel.row_min + dynamics.DEVIATION_TOLERANCE
+            ),
         )
         if span is not None:
             span.attrs["table_bytes"] = int(self.table.nbytes)
 
     def restore(self, state) -> None:
-        n, k = self.instance.n, self.instance.k
+        instance = self.instance
+        n, k = instance.n, instance.k
         self.sweep = dynamics.checked_players(state["sweep"], n, "sweep")
-        self.table = dynamics.checked_array(
+        table = dynamics.checked_array(
             state["table"], (n, k), np.float64, "table"
         )
+        # The stored table is kept (see _solve_global_table), but only
+        # while it is the table of the checkpointed assignment up to
+        # accumulated rounding: an edited entry would steer every later
+        # argmin.  NaN and inf entries fail the comparison too.
+        rebuilt = build_global_table(instance, self.assignment)
+        bound = 1e-9 * (1.0 + np.abs(rebuilt))
+        if not (np.abs(table - rebuilt) <= bound).all():
+            raise DataError(
+                "checkpoint table is not the global table of the "
+                "checkpointed assignment"
+            )
+        self.table = table
+        self.rounds_kernel = BulkRounds(instance, self.table, self.sweep)
 
     def start(self) -> None:
         super().start()
@@ -169,11 +310,10 @@ class _GlobalTableLoop(dynamics.RoundLoop):
         }
 
     def step(self):
-        deviations, examined = table_round(
-            self.instance, self.table, self.assignment, self.active,
-            self.sweep,
+        deviations, examined = self.rounds_kernel(
+            self.assignment, self.active
         )
-        # A table lookup replaces the k-way Eq. 3 scan: one row argmin per
+        # A table lookup replaces the k-way Eq. 3 scan: one lookup per
         # examined player.
         return deviations, examined, examined
 

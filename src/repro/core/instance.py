@@ -292,6 +292,76 @@ class RMGPInstance:
         """
         return self._degrees
 
+    # ------------------------------------------------------------------
+    # α-independent solver inputs, memoized per resident graph
+    def _memo(self, name: str, inputs: tuple, compute: Callable[[], object]):
+        """``compute()``, reused while ``inputs`` are the same objects.
+
+        The memo dict is shared with every :meth:`with_alpha` /
+        :meth:`with_cost` clone.  An entry keeps its inputs alive and is
+        only reused while each current input *is* the one it was
+        computed from, so it never outlives a replacement of them:
+        :meth:`rebuild_adjacency` publishes new ``indices`` and
+        ``_degrees`` arrays, and a clone's own cost provider never
+        matches its parent's.  Threads solving clones of one resident
+        instance may both compute an entry: the values are equal, and
+        the last write wins.
+        """
+        memo = self.__dict__.setdefault("_memos", {})
+        entry = memo.get(name)
+        if entry is not None and all(
+            a is b for a, b in zip(entry[0], inputs)
+        ):
+            return entry[1]
+        value = compute()
+        memo[name] = (inputs, value)
+        return value
+
+    def slot_keys(self) -> np.ndarray:
+        """``indices·k``: each CSR slot's linear key into row 0 of an
+        ``n x k`` table (add ``friend_class`` and the flat index of
+        ``table[friend, friend_class]`` follows).  Read-only."""
+        k = self.k
+
+        def compute():
+            keys = self.indices * k
+            keys.flags.writeable = False
+            return keys
+
+        return self._memo("slot_keys", (self.indices,), compute)
+
+    def degree_order(self) -> List[int]:
+        """Players by descending degree, ties by index (a fresh list).
+
+        ``sorted(range(n), key=lambda v: (-degrees[v], v))`` in one
+        ``np.lexsort``, memoized on the ``_degrees`` array it reads.
+        """
+        degrees = self._degrees
+        order = self._memo(
+            "degree_order", (degrees,),
+            lambda: np.lexsort((np.arange(self.n), -degrees)).tolist(),
+        )
+        return list(order)
+
+    def closest_classes(self) -> np.ndarray:
+        """Each player's cheapest class, the first minimum of its cost row.
+
+        Memoized only for a cost matrix that cannot be written in place
+        (:attr:`CostProvider.read_only`): the incremental engine rewrites
+        its own matrix row by row, so anything derived from a writable
+        matrix is recomputed on every call.  Returns a fresh array.
+        """
+        cost = self.cost
+        if self.n == 0:
+            return np.empty(0, dtype=np.int64)
+
+        def compute():
+            return cost.dense().argmin(axis=1).astype(np.int64)
+
+        if not cost.read_only:
+            return compute()
+        return self._memo("closest_classes", (cost,), compute).copy()
+
     def with_cost(self, cost: CostProvider) -> "RMGPInstance":
         """Clone this instance with a different cost provider.
 
@@ -350,6 +420,7 @@ class RMGPInstance:
         clone.node_ids, clone.index_of = self.node_ids, self.index_of
         for name in self._SHARED_ARRAYS:
             setattr(clone, name, getattr(self, name))
+        clone._memos = self.__dict__.setdefault("_memos", {})
         return clone
 
     # ------------------------------------------------------------------

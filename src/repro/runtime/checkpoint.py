@@ -136,7 +136,8 @@ def rounds_from_payload(payload: List[Dict[str, Any]]) -> List[RoundStats]:
             )
             for item in payload
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        # OverflowError: an infinite count (``int(float("inf"))``).
         raise DataError(f"malformed round trace: {exc}") from exc
 
 

@@ -36,7 +36,12 @@ def _build(spec: InstanceSpec) -> "RMGPInstance":
         seed=spec.seed,
         use_cache=False,
     )
-    return RMGPInstance(data.graph, data.event_ids, data.cost_matrix())
+    # Resident costs are never written: a read-only matrix lets every
+    # request's α clone reuse the closest-class init computed once per
+    # graph (RMGPInstance.closest_classes).
+    cost = data.cost_matrix()
+    cost.flags.writeable = False
+    return RMGPInstance(data.graph, data.event_ids, cost)
 
 
 class InstanceStore:

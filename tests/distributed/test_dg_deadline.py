@@ -52,8 +52,16 @@ class TestDGDeadline:
     def test_mid_run_deadline_counts_degraded_rounds(
         self, dataset, query, reference
     ):
+        # The simulated transfer time of round 0 and the first half of
+        # the reference's rounds, computed from message bytes: by the
+        # start of the next round that much has elapsed on any machine
+        # (wall-measured compute only adds), so the run cannot reach the
+        # reference's converging round.
+        assert reference.num_rounds >= 2
+        half = 1 + reference.num_rounds // 2
+        deadline = sum(r.transfer_seconds for r in reference.rounds[:half])
         result = build_cluster(dataset, num_slaves=2).game.run(
-            query, deadline_seconds=reference.total_seconds * 0.5
+            query, deadline_seconds=deadline
         )
         assert not result.converged
         assert result.stop_reason == "deadline"

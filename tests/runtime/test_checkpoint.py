@@ -222,6 +222,34 @@ class TestCheckpointGroupsMustBeIndependentSets:
         _assert_fails_before_round_one(instance, name, {}, checkpoint)
 
 
+@pytest.mark.parametrize("name", ["gt", "b", "vec", "all", "mg", "sync"])
+def test_resume_leaves_the_checkpoint_unchanged(tmp_path, name):
+    """Resuming twice from one in-memory checkpoint replays the same
+    solve: the resumed loop works on copies of its arrays."""
+    kwargs = {"damping": 0.7} if name == "sync" else {}
+    instance = random_instance()
+    path = str(tmp_path / f"{name}.ckpt.json")
+    partial = partition(
+        instance, solver=name, seed=3, cancel_token=CountdownToken(0),
+        checkpoint_path=path, **kwargs,
+    )
+    assert partial.stop_reason == "cancelled"
+    checkpoint = load_checkpoint(path)
+    first = partition(
+        instance, solver=name, seed=3, resume_from=checkpoint, **kwargs
+    )
+    again = partition(
+        instance, solver=name, seed=3, resume_from=checkpoint, **kwargs
+    )
+    assert again.assignment.tobytes() == first.assignment.tobytes()
+    assert [r.players_examined for r in again.rounds] == [
+        r.players_examined for r in first.rounds
+    ]
+    assert [r.deviations for r in again.rounds] == [
+        r.deviations for r in first.rounds
+    ]
+
+
 class TestCorruptCheckpointFailsClosed:
     """A corrupt resume checkpoint raises DataError before round 1."""
 
@@ -240,6 +268,23 @@ class TestCorruptCheckpointFailsClosed:
         instance, checkpoint = _round0_checkpoint(tmp_path, name, kwargs)
         checkpoint.frontier = np.ones(instance.n + 1, dtype=bool)
         _assert_fails_before_round_one(instance, name, kwargs, checkpoint)
+
+    @pytest.mark.parametrize("edit", ["nan_row", "plus_one"])
+    def test_gt_table_must_be_the_assignments_table(self, tmp_path, edit):
+        """A non-finite or edited table would steer every later argmin
+        (a NaN row used to resume to ``converged=True``)."""
+        instance, checkpoint = _round0_checkpoint(tmp_path, "gt", {})
+        table = checkpoint.state["table"]
+        if edit == "nan_row":
+            table[0] = np.nan
+        else:
+            table[0, 0] += 1.0
+        _assert_fails_before_round_one(instance, "gt", {}, checkpoint)
+
+    def test_infinite_round_count_fails_closed(self, tmp_path):
+        instance, checkpoint = _round0_checkpoint(tmp_path, "gt", {})
+        checkpoint.rounds[0]["deviations"] = float("inf")
+        _assert_fails_before_round_one(instance, "gt", {}, checkpoint)
 
     def test_round_trace_must_match_round_index(self, tmp_path):
         instance, checkpoint = _round0_checkpoint(tmp_path, "gt", {})
