@@ -1,26 +1,31 @@
 """RMGP_all — all three optimizations composed (Section 6.3).
 
 "The proposed optimizations are orthogonal and can be applied in any
-combination" (Section 4); RMGP_all applies all of them:
+combination" (Section 4).  RMGP_all is RMGP_gt's loop
+(:class:`~repro.core.global_table._GlobalTableLoop`: the
+:class:`~repro.core.global_table.BulkRounds` round, the checkpointed and
+validated table) with two parts swapped:
 
-* **strategy elimination** — the global table is built only over each
-  player's reduced strategy space ``S'_v`` (pruned entries are ``+inf``),
-  and single-strategy players are fixed up front, which also shrinks the
-  table ("the space requirement can be reduced", Section 4.3);
-* **global table** — only unhappy players are examined;
-* **independent strategies** — rounds sweep color groups, enabling the
-  parallel processing of Section 4.2 (the group structure is also what
-  the decentralized game of Section 5 distributes across slaves).
+* **the table** is built only over each player's reduced strategy space
+  ``S'_v`` (strategy elimination, Section 4.1; pruned entries ``+inf``),
+  and single-strategy players are fixed up front;
+* **the sweep** is the color groups' free players, group after group.
+  Group members are non-adjacent, so sweeping a group equals its
+  simultaneous update (independent strategies, Section 4.2; the groups
+  are also what the decentralized game of Section 5 distributes).
+
+A move flags every friend; fixed players are never swept, so their
+flags are cleared after each round.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core import dynamics
-from repro.core.global_table import happiness
+from repro.core.global_table import _GlobalTableLoop
 from repro.core.independent_sets import checked_groups, ordered_groups
 from repro.core.instance import RMGPInstance
 from repro.core.result import PartitionResult
@@ -35,22 +40,28 @@ from repro.runtime.budget import RuntimeBudget
 def build_pruned_table(
     instance: RMGPInstance, assignment: np.ndarray, plan: EliminationPlan
 ) -> np.ndarray:
-    """Global table restricted to valid strategies (pruned = ``+inf``)."""
+    """Global table restricted to valid strategies (pruned = ``+inf``).
+
+    ``α·C + maxSC[:, None]``, then one ``np.subtract.at`` of the refunds
+    ``(1 − α)·½·w`` in CSR order: the floats of a per-player build.
+    """
     alpha = instance.alpha
-    table = np.full((instance.n, instance.k), np.inf, dtype=np.float64)
-    indptr = instance.indptr.tolist()
-    for player in range(instance.n):
-        valid = plan.valid_classes[player]
-        table[player, valid] = (
-            alpha * instance.cost.row(player)[valid]
-            + instance.max_social_cost[player]
+    table = alpha * instance.cost.dense()
+    table += instance.max_social_cost[:, None]
+    if instance.indices.size:
+        np.subtract.at(
+            table,
+            (instance.edge_owner, assignment[instance.indices]),
+            (1.0 - alpha) * 0.5 * instance.weights,
         )
-        row = slice(indptr[player], indptr[player + 1])
-        idx = instance.indices[row]
-        if idx.size:
-            refund = (1.0 - alpha) * 0.5 * instance.weights[row]
-            # Refunds on pruned classes act on +inf and leave them invalid.
-            np.subtract.at(table[player], assignment[idx], refund)
+    valid = np.zeros(table.shape, dtype=bool)
+    if instance.n:
+        lengths = [len(classes) for classes in plan.valid_classes]
+        valid[
+            np.repeat(np.arange(instance.n), lengths),
+            np.concatenate(plan.valid_classes),
+        ] = True
+    table[~valid] = np.inf
     return table
 
 
@@ -89,51 +100,49 @@ def _solve_all(
     return loop.run()
 
 
-class _CombinedLoop(dynamics.RoundLoop):
-    """Pruned-table rounds over the color groups' unhappy players."""
+class _CombinedLoop(_GlobalTableLoop):
+    """RMGP_gt's rounds on the pruned table over the color groups."""
 
     def init(self, span) -> None:
-        instance = self.instance
         if self.plan is None:
             with self.rec.span("build_plan"):
-                self.plan = build_elimination_plan(instance)
-        self.assignment = self.initial_assignment()
-        fixed_mask = self.fixed_mask = self.plan.fixed_class >= 0
-        self.assignment[fixed_mask] = self.plan.fixed_class[fixed_mask]
-        groups = ordered_groups(
-            instance, self.coloring,
-            dynamics.player_order(instance, self.order, self.rng),
-        )
-        groups = [[p for p in group if not fixed_mask[p]] for group in groups]
-        self.groups = [g for g in groups if g]
-        with self.rec.span("build_table"):
-            self.table = build_pruned_table(instance, self.assignment, self.plan)
-        # The frontier is the unhappy free players.
-        self.active.flags = ~happiness(self.table, self.assignment)
-        self.active.flags[fixed_mask] = False
+                self.plan = build_elimination_plan(self.instance)
+        self.fixed_mask = self.plan.fixed_class >= 0
+        super().init(span)
         if span is not None:
             span.attrs.update(
-                num_groups=len(self.groups), num_fixed=self.plan.num_fixed,
-                table_bytes=int(self.table.nbytes),
+                num_groups=len(self.groups), num_fixed=self.plan.num_fixed
             )
 
     def restore(self, state) -> None:
-        n, k = self.instance.n, self.instance.k
         if self.plan is None:
             self.plan = build_elimination_plan(self.instance)
         self.fixed_mask = self.plan.fixed_class >= 0
-        self.groups = checked_groups(
-            state["groups"], self.instance, count=n - self.plan.num_fixed
-        )
-        self.table = dynamics.checked_array(
-            state["table"], (n, k), np.float64, "table"
-        )
+        super().restore(state)
 
-    def start(self) -> None:
-        super().start()
-        self.rec.gauge(
-            "solver.table_bytes", self.table.nbytes, solver=self.name
-        )
+    def initial_assignment(self) -> np.ndarray:
+        assignment = super().initial_assignment()
+        fixed = self.fixed_mask
+        assignment[fixed] = self.plan.fixed_class[fixed]
+        return assignment
+
+    def make_sweep(self, state=None) -> List[int]:
+        instance = self.instance
+        if state is None:
+            groups = ordered_groups(
+                instance, self.coloring, super().make_sweep()
+            )
+            free = [[p for p in g if not self.fixed_mask[p]] for g in groups]
+            self.groups = [group for group in free if group]
+        else:
+            self.groups = checked_groups(
+                state["groups"], instance,
+                count=instance.n - self.plan.num_fixed,
+            )
+        return [p for group in self.groups for p in group]
+
+    def make_table(self) -> np.ndarray:
+        return build_pruned_table(self.instance, self.assignment, self.plan)
 
     def state(self):
         return {
@@ -142,43 +151,10 @@ class _CombinedLoop(dynamics.RoundLoop):
         }
 
     def step(self):
-        instance, table, assignment = self.instance, self.table, self.assignment
-        dirty = self.active.flags
-        fixed_mask = self.fixed_mask
-        half = (1.0 - instance.alpha) * 0.5
-        tol = dynamics.DEVIATION_TOLERANCE
-        deviations = 0
-        examined = 0
-        indices, weights = instance.indices, instance.weights
-        indptr = instance.indptr.tolist()
-        for group in self.groups:
-            # Members are non-adjacent: their best responses are mutually
-            # independent, so this sweep equals a simultaneous update.
-            for player in group:
-                if not dirty[player]:
-                    continue
-                examined += 1
-                dirty[player] = False
-                current = int(assignment[player])
-                best = int(table[player].argmin())
-                if table[player, best] >= table[player, current] - tol:
-                    continue
-                assignment[player] = best
-                deviations += 1
-                row = slice(indptr[player], indptr[player + 1])
-                for friend, weight in zip(indices[row], weights[row]):
-                    delta = half * weight
-                    table[friend, best] -= delta
-                    table[friend, current] += delta
-                    if fixed_mask[friend]:
-                        continue
-                    friend_class = int(assignment[friend])
-                    dirty[friend] = not (
-                        table[friend, friend_class]
-                        <= table[friend].min() + tol
-                    )
-        # Table-driven: one row argmin per examined player.
-        return deviations, examined, examined
+        counts = super().step()
+        # A move flags every friend, fixed ones too; they are never swept.
+        self.active.flags[self.fixed_mask] = False
+        return counts
 
     def extra(self):
         return {

@@ -202,7 +202,10 @@ def checked_array(
     Returns a private C-contiguous copy: a resumed solve writes its
     state in place and must never write into the caller's checkpoint.
     """
-    array = np.asarray(value)
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint {what} is not an array: {exc!r}") from exc
     if array.shape != shape or array.dtype != np.dtype(dtype):
         raise DataError(
             f"checkpoint {what} has shape {array.shape} and dtype "

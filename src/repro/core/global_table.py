@@ -20,7 +20,7 @@ what :mod:`repro.core.combined` does.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,10 +70,9 @@ def table_round(
 ) -> Tuple[int, int]:
     """One frontier round of table-driven best responses (Figure 5 lines 6-15).
 
-    Shared by the RMGP_gt solver and
-    :class:`repro.core.incremental.IncrementalRMGP` — both maintain the
-    same state (table + frontier) and must replay the same schedule.
-    Returns ``(deviations, players_examined)``.
+    The round :class:`repro.core.incremental.IncrementalRMGP` runs;
+    :class:`BulkRounds`, which RMGP_gt and RMGP_all run, reproduces it
+    byte for byte.  Returns ``(deviations, players_examined)``.
     """
     deviations = 0
     examined = 0
@@ -102,6 +101,22 @@ def table_round(
         table[idx, current] += deltas
         flags[idx] = True
     return deviations, examined
+
+
+def checked_table(value, expected: np.ndarray) -> np.ndarray:
+    """A private copy of a checkpointed table, refused (``DataError``)
+    unless it is ``expected``, the table rebuilt from the checkpointed
+    assignment: a ±inf entry must be the same infinity, any other within
+    ``1e-9·(1 + |x|)``; NaN never matches.  An edited entry would steer
+    every later argmin."""
+    table = dynamics.checked_array(value, expected.shape, np.float64, "table")
+    with np.errstate(invalid="ignore"):
+        close = np.abs(table - expected) <= 1e-9 * (1.0 + np.abs(expected))
+    if not np.where(np.isinf(expected), table == expected, close).all():
+        raise DataError(
+            "checkpoint table is not the table of the checkpointed assignment"
+        )
+    return table
 
 
 class BulkRounds:
@@ -253,14 +268,25 @@ def _solve_global_table(
 
 
 class _GlobalTableLoop(dynamics.RoundLoop):
-    """Figure 5: table-driven frontier rounds."""
+    """Figure 5: table-driven frontier rounds.  RMGP_all overrides the
+    two hooks :meth:`make_sweep` and :meth:`make_table`."""
+
+    def make_sweep(self, state=None) -> List[int]:
+        """The sweep order: drawn in round 0, or the checkpoint's."""
+        if state is None:
+            return dynamics.player_order(self.instance, self.order, self.rng)
+        return dynamics.checked_players(state["sweep"], self.instance.n, "sweep")
+
+    def make_table(self) -> np.ndarray:
+        """The table of ``self.assignment``."""
+        return build_global_table(self.instance, self.assignment)
 
     def init(self, span) -> None:
         instance = self.instance
         self.assignment = self.initial_assignment()
-        self.sweep = dynamics.player_order(instance, self.order, self.rng)
+        self.sweep = self.make_sweep()
         with self.rec.span("build_table"):
-            self.table = build_global_table(instance, self.assignment)
+            self.table = self.make_table()
         self.rounds_kernel = BulkRounds(instance, self.table, self.sweep)
         # Initially dirty = not provably happy, matching Figure 5's first
         # pass: happiness()'s test, with the row minima the kernel read
@@ -277,25 +303,10 @@ class _GlobalTableLoop(dynamics.RoundLoop):
             span.attrs["table_bytes"] = int(self.table.nbytes)
 
     def restore(self, state) -> None:
-        instance = self.instance
-        n, k = instance.n, instance.k
-        self.sweep = dynamics.checked_players(state["sweep"], n, "sweep")
-        table = dynamics.checked_array(
-            state["table"], (n, k), np.float64, "table"
-        )
-        # The stored table is kept (see _solve_global_table), but only
-        # while it is the table of the checkpointed assignment up to
-        # accumulated rounding: an edited entry would steer every later
-        # argmin.  NaN and inf entries fail the comparison too.
-        rebuilt = build_global_table(instance, self.assignment)
-        bound = 1e-9 * (1.0 + np.abs(rebuilt))
-        if not (np.abs(table - rebuilt) <= bound).all():
-            raise DataError(
-                "checkpoint table is not the global table of the "
-                "checkpointed assignment"
-            )
-        self.table = table
-        self.rounds_kernel = BulkRounds(instance, self.table, self.sweep)
+        self.sweep = self.make_sweep(state)
+        # Kept, not rebuilt (see _solve_global_table), once checked.
+        self.table = checked_table(state["table"], self.make_table())
+        self.rounds_kernel = BulkRounds(self.instance, self.table, self.sweep)
 
     def start(self) -> None:
         super().start()

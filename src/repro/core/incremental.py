@@ -70,7 +70,9 @@ import numpy as np
 
 from repro.core import dynamics
 from repro.core.costs import MatrixCost
-from repro.core.global_table import build_global_table, happiness, table_round
+from repro.core.global_table import (
+    build_global_table, checked_table, happiness, table_round,
+)
 from repro.core.instance import RMGPInstance
 from repro.core.objective import objective
 from repro.core.result import PartitionResult, RoundStats
@@ -520,10 +522,8 @@ class IncrementalRMGP:
         try:
             matrix = dynamics.checked_array(
                 state["cost_matrix"], (n, k), np.float64, "cost_matrix"
-            ).copy()
-            table = dynamics.checked_array(
-                state["table"], (n, k), np.float64, "table"
-            ).copy()
+            )
+            table = state["table"]
             frontier = dynamics.checked_array(
                 restored.frontier, (n,), bool, "frontier"
             )
@@ -536,7 +536,9 @@ class IncrementalRMGP:
         engine._recorder = recorder
         engine._own(instance, matrix)
         engine.assignment = restored.assignment.copy()
-        engine._table = table
+        engine._table = checked_table(
+            table, build_global_table(engine.instance, engine.assignment)
+        )
         engine._active = dynamics.ActiveSet(n, dirty=frontier)
         engine.resolve_count = resolve_count
         engine.moved_total = 0

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core import dynamics
-from repro.core.global_table import build_global_table
+from repro.core.global_table import build_global_table, checked_table
 from repro.core.instance import RMGPInstance
 from repro.core.result import PartitionResult
 from repro.errors import ConvergenceError, DataError
@@ -107,9 +107,9 @@ class _MaxGainLoop(dynamics.RoundLoop):
         self.init_examined = instance.n
 
     def restore(self, state) -> None:
-        n, k = self.instance.n, self.instance.k
-        self.table = dynamics.checked_array(
-            state["table"], (n, k), np.float64, "table"
+        n = self.instance.n
+        self.table = checked_table(
+            state["table"], build_global_table(self.instance, self.assignment)
         )
         players = np.asarray(state["heap_players"], dtype=np.int64)
         keys = dynamics.checked_array(

@@ -10,6 +10,8 @@ from repro.core import (
     is_nash_equilibrium,
     player_strategy_costs,
 )
+from repro.core.global_table import checked_table
+from repro.errors import DataError
 
 from tests.core.conftest import random_instance
 
@@ -34,6 +36,38 @@ class TestTableConstruction:
             row = table[player]
             expected = row[assignment[player]] <= row.min() + 1e-12
             assert happy[player] == expected
+
+
+class TestCheckedTable:
+    """The resume check of every table-keeping solver."""
+
+    EXPECTED = np.array([[1.0, np.inf], [-2.5, 1e6]])
+
+    def test_accepts_accumulated_rounding_and_copies(self):
+        value = self.EXPECTED * (1.0 + 1e-12)
+        table = checked_table(value, self.EXPECTED)
+        assert table.tobytes() == value.tobytes()
+        assert table is not value
+
+    @pytest.mark.parametrize(
+        "entry,edit",
+        [
+            ((0, 0), 1.0 + 3e-9),  # past 1e-9·(1 + |x|)
+            ((0, 1), -np.inf),  # an infinity must be the same infinity
+            ((0, 1), 0.0),  # a pruned strategy made valid
+            ((1, 0), np.inf),
+            ((1, 1), np.nan),
+        ],
+    )
+    def test_refuses_an_edited_entry(self, entry, edit):
+        value = self.EXPECTED.copy()
+        value[entry] = edit
+        with pytest.raises(DataError):
+            checked_table(value, self.EXPECTED)
+
+    def test_refuses_a_wrong_shape(self):
+        with pytest.raises(DataError):
+            checked_table(np.zeros((2, 3)), self.EXPECTED)
 
 
 class TestSolver:

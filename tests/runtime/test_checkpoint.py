@@ -143,6 +143,10 @@ def _wide_table(state, n, k):
     state["table"] = np.zeros((n, k + 1))
 
 
+def _ragged_table(state, n, k):
+    state["table"] = [[0.0] * k] * (n - 1) + [[0.0] * (k + 1)]
+
+
 def _bad_heap(state, n, k):
     state["heap_players"][0] = n
 
@@ -161,6 +165,7 @@ CORRUPTIONS = [
     ("all", {}, _wide_table),
     ("vec", {}, _bad_groups),
     ("mg", {}, _bad_heap),
+    ("inc", {}, _ragged_table),
     ("sync", {"damping": 0.7}, _short_best),
     ("cap", {"capacities": [12] * 4}, _bad_sweep),
     ("minpart", {"min_participants": 2}, _bad_sweep),
@@ -280,6 +285,45 @@ class TestCorruptCheckpointFailsClosed:
         else:
             table[0, 0] += 1.0
         _assert_fails_before_round_one(instance, "gt", {}, checkpoint)
+
+    @pytest.mark.parametrize("edit", ["nan_row", "current_cheapest"])
+    @pytest.mark.parametrize("name", ["all", "mg", "inc"])
+    def test_table_must_be_the_assignments_table(self, tmp_path, name, edit):
+        """RMGP_all, RMGP_mg and the incremental engine keep a table too:
+        with row 1 edited so that player 1's class looks cheapest, each
+        used to resume to ``converged=True`` on an assignment that is not
+        a Nash equilibrium."""
+        instance, checkpoint = _round0_checkpoint(tmp_path, name, {})
+        table = checkpoint.state["table"]
+        if edit == "nan_row":
+            table[1] = np.nan
+        else:
+            table[1, checkpoint.assignment[1]] = table[1].min() - 1.0
+        _assert_fails_before_round_one(instance, name, {}, checkpoint)
+
+    def test_all_resumes_a_pruned_table_byte_for_byte(self, tmp_path):
+        """A round-1 RMGP_all checkpoint, +inf pruned entries and all,
+        replays the uninterrupted solve."""
+        instance = random_instance(num_players=40, alpha=0.8, seed=3)
+        reference = partition(instance, solver="all", seed=3)
+        path = str(tmp_path / "all.ckpt.json")
+        partial = partition(
+            instance, solver="all", seed=3, cancel_token=CountdownToken(1),
+            checkpoint_path=path,
+        )
+        assert partial.stop_reason == "cancelled"
+        checkpoint = load_checkpoint(path)
+        assert checkpoint.round_index == 1
+        assert np.isinf(checkpoint.state["table"]).any()
+        resumed = partition(instance, solver="all", seed=3, resume_from=path)
+        assert resumed.converged and reference.num_rounds > 2
+        assert resumed.assignment.tobytes() == reference.assignment.tobytes()
+        assert [r.deviations for r in resumed.rounds] == [
+            r.deviations for r in reference.rounds
+        ]
+        assert [r.players_examined for r in resumed.rounds[1:]] == [
+            r.players_examined for r in reference.rounds[1:]
+        ]
 
     def test_infinite_round_count_fails_closed(self, tmp_path):
         instance, checkpoint = _round0_checkpoint(tmp_path, "gt", {})
