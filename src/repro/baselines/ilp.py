@@ -38,7 +38,7 @@ def solve_exact(
         )
     start = time.perf_counter()
 
-    costs = instance.cost.dense()
+    costs = instance.cost.view()
     alpha = instance.alpha
     beta = 1.0 - alpha
     min_cost_per_player = costs.min(axis=1) if n else np.zeros(0)

@@ -40,7 +40,7 @@ def solve_uml_greedy(instance: RMGPInstance) -> PartitionResult:
     """Run UML_gr on ``instance``; deterministic (no seeds involved)."""
     start = time.perf_counter()
     n, k = instance.n, instance.k
-    costs = instance.cost.dense()
+    costs = instance.cost.view()
 
     # Process classes by decreasing attraction: classes many users find
     # cheap get first pick, mirroring the greedy's fixed class sweep.

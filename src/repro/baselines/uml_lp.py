@@ -108,7 +108,7 @@ def _solve_relaxation(instance: RMGPInstance) -> "tuple[np.ndarray, float]":
 
     # Objective coefficients.
     c = np.zeros(num_vars, dtype=np.float64)
-    c[:num_x] = alpha * instance.cost.dense().ravel()
+    c[:num_x] = alpha * instance.cost.view().ravel()
     for e, (_, _, w) in enumerate(edges):
         c[num_x + e * k : num_x + (e + 1) * k] = (1.0 - alpha) * 0.5 * w
 

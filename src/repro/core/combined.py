@@ -46,7 +46,7 @@ def build_pruned_table(
     ``(1 − α)·½·w`` in CSR order: the floats of a per-player build.
     """
     alpha = instance.alpha
-    table = alpha * instance.cost.dense()
+    table = alpha * instance.cost.view()
     table += instance.max_social_cost[:, None]
     if instance.indices.size:
         np.subtract.at(

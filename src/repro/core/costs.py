@@ -15,6 +15,10 @@ solvers consume and the standard implementations:
 * :class:`CombinedCost` — weighted sum of several criteria (multi-criteria
   assignment costs, Section 1).
 
+Every provider hands out the full matrix two ways: :meth:`CostProvider.dense`
+is a private copy the caller may write, :meth:`CostProvider.view` the same
+values for reading only, sharing storage where it can.
+
 Providers are indexed by *player index* (``0..n-1``) and *class index*
 (``0..k-1``); the mapping from user ids and class labels to indices lives
 in :class:`repro.core.instance.RMGPInstance`.
@@ -54,17 +58,30 @@ class CostProvider:
         return float(self.row(player)[klass])
 
     def dense(self) -> np.ndarray:
-        """Materialize the full ``n x k`` matrix (used by LP baselines)."""
+        """Materialize the full ``n x k`` matrix as a private copy the
+        caller may write; readers take :meth:`view`."""
         if self.num_players == 0:
             return np.empty((0, self.num_classes), dtype=np.float64)
         return np.vstack([self.row(v) for v in range(self.num_players)])
+
+    def view(self) -> np.ndarray:
+        """The full ``n x k`` matrix for reading only.
+
+        Same values as :meth:`dense`, but it may share the provider's
+        storage, so callers must not write it (a :class:`MatrixCost`
+        view is non-writeable).  Readers that gather entries or derive a
+        new array from the costs take this instead of a copy.
+        """
+        return self.dense()
 
 
 class MatrixCost(CostProvider):
     """Cost provider backed by a dense ``n x k`` numpy matrix."""
 
     def __init__(self, matrix: np.ndarray) -> None:
-        matrix = np.asarray(matrix, dtype=np.float64)
+        # Row-major, so view() and the tables derived from it are too; an
+        # already row-major float64 matrix is kept uncopied.
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ConfigurationError("cost matrix must be 2-dimensional")
         if matrix.size and matrix.min() < 0:
@@ -93,6 +110,11 @@ class MatrixCost(CostProvider):
 
     def dense(self) -> np.ndarray:
         return self._matrix.copy()
+
+    def view(self) -> np.ndarray:
+        view = self._matrix.view()
+        view.flags.writeable = False
+        return view
 
 
 class FunctionCost(CostProvider):
@@ -158,10 +180,13 @@ class ScaledCost(CostProvider):
     def cost(self, player: int, klass: int) -> float:
         return self._base.cost(player, klass) * self.factor
 
-    def dense(self) -> np.ndarray:
+    def view(self) -> np.ndarray:
         # One vectorized scale of the base matrix; elementwise it is the
         # same multiplication row() performs, so values are bit-identical.
-        return self._base.dense() * self.factor
+        return self._base.view() * self.factor
+
+    def dense(self) -> np.ndarray:
+        return self.view()  # the product is already a fresh array
 
 
 class CombinedCost(CostProvider):
@@ -199,12 +224,15 @@ class CombinedCost(CostProvider):
                 total += weight * provider.row(player)
         return total
 
-    def dense(self) -> np.ndarray:
+    def view(self) -> np.ndarray:
         total = np.zeros((self.num_players, self.num_classes), dtype=np.float64)
         for provider, weight in zip(self._providers, self._weights):
             if weight:
-                total += weight * provider.dense()
+                total += weight * provider.view()
         return total
+
+    def dense(self) -> np.ndarray:
+        return self.view()  # the sum is already a fresh array
 
 
 def as_cost_provider(

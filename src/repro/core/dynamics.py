@@ -395,12 +395,14 @@ class RoundLoop:
                 f"{expected}"
             )
         rounds = checkpoint.restored_rounds()
-        if checkpoint.round_index < 0 or len(rounds) != (
-            checkpoint.round_index + 1
-        ):
+        # Rounds 0..round_index, in order: JSON ``true`` reads as round
+        # 1, so a count alone would pass a trace with a repeated round.
+        if checkpoint.round_index < 0 or [
+            r.round_index for r in rounds
+        ] != list(range(checkpoint.round_index + 1)):
             raise DataError(
-                f"checkpoint round trace has {len(rounds)} entries for "
-                f"round_index {checkpoint.round_index}"
+                f"checkpoint round trace is not rounds 0.."
+                f"{checkpoint.round_index}"
             )
         self.assignment = checkpoint.assignment.copy()
         if self.active is not None:

@@ -43,7 +43,7 @@ def exact_payload(instance: RMGPInstance, scale: int) -> ExactPayload:
             f"exact_scale must be an int >= 1, got {scale!r}"
         )
     alpha = instance.alpha
-    float_cost = alpha * instance.cost.dense() * float(scale)
+    float_cost = alpha * instance.cost.view() * float(scale)
     float_refund = (1.0 - alpha) * instance.half_weights * float(scale)
     float_maxsc = np.zeros(instance.n, dtype=np.float64)
     if float_refund.size:

@@ -42,7 +42,7 @@ def build_global_table(
     ``(owner, friend's class)`` keys — no per-player Python loop.
     """
     n, k = instance.n, instance.k
-    table = instance.alpha * instance.cost.dense()
+    table = instance.alpha * instance.cost.view()
     table += instance.max_social_cost[:, None]
     if instance.indices.size:
         assignment = np.asarray(assignment, dtype=np.int64)
@@ -107,11 +107,18 @@ def checked_table(value, expected: np.ndarray) -> np.ndarray:
     """A private copy of a checkpointed table, refused (``DataError``)
     unless it is ``expected``, the table rebuilt from the checkpointed
     assignment: a ±inf entry must be the same infinity, any other within
-    ``1e-9·(1 + |x|)``; NaN never matches.  An edited entry would steer
-    every later argmin."""
+    ``1e-9·(1 + m)``, where ``m`` is the row's largest finite ``|x|``;
+    NaN never matches.  An edited entry would steer every later argmin.
+
+    The bound scales with the row, not the entry: an entry is
+    ``α·c + maxSC`` less its refunds, so a class that most friends hold
+    is a small difference of ``maxSC``-sized terms and carries their
+    rounding, which the row's largest entry (about ``maxSC``) bounds."""
     table = dynamics.checked_array(value, expected.shape, np.float64, "table")
+    finite = np.where(np.isinf(expected), 0.0, np.abs(expected))
+    scale = finite.max(axis=1, initial=0.0)[:, None]
     with np.errstate(invalid="ignore"):
-        close = np.abs(table - expected) <= 1e-9 * (1.0 + np.abs(expected))
+        close = np.abs(table - expected) <= 1e-9 * (1.0 + scale)
     if not np.where(np.isinf(expected), table == expected, close).all():
         raise DataError(
             "checkpoint table is not the table of the checkpointed assignment"

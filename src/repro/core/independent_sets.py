@@ -205,7 +205,7 @@ def build_batches(
     """One :class:`GroupBatch` per group, members in group order."""
     alpha = instance.alpha
     refund_scale = 1.0 - alpha  # applied to half_weights (already ½·w)
-    dense = alpha * instance.cost.dense()
+    dense = alpha * instance.cost.view()
     degrees = instance.degrees()
     batches = []
     for group in groups:

@@ -429,9 +429,10 @@ class RMGPInstance:
     ) -> Dict[NodeId, Hashable]:
         """Convert an index-space assignment to ``user id -> class label``."""
         self.validate_assignment(assignment)
-        return {
-            self.node_ids[i]: self.classes[assignment[i]] for i in range(self.n)
-        }
+        classes = self.classes
+        # One tolist() gather, not n numpy scalar reads.
+        labels = [classes[j] for j in np.asarray(assignment).tolist()]
+        return dict(zip(self.node_ids, labels))
 
     def labels_to_assignment(
         self, labels: Dict[NodeId, Hashable]

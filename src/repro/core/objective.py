@@ -49,8 +49,8 @@ def assignment_cost_sum(instance: RMGPInstance, assignment: np.ndarray) -> float
     if instance.n == 0:
         return 0.0
     assignment = np.asarray(assignment, dtype=np.int64)
-    dense = instance.cost.dense()
-    return float(dense[np.arange(instance.n), assignment].sum())
+    costs = instance.cost.view()
+    return float(costs[np.arange(instance.n), assignment].sum())
 
 
 def social_cost_sum(instance: RMGPInstance, assignment: np.ndarray) -> float:

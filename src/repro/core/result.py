@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, Iterator, List, Optional
 
 import numpy as np
 
@@ -53,7 +54,9 @@ class PartitionResult:
         Index-space strategy vector (player index -> class index),
         always a fresh ``int64`` copy the caller may mutate.
     labels:
-        The same assignment as ``user id -> class label``.
+        The same assignment as ``user id -> class label``: a read-only
+        mapping, in player order, built on first read (a reply that
+        only serializes the result never builds it).
     value:
         Equation 1 breakdown at termination, evaluated on the instance
         the solver actually ran on (i.e. after any normalization).
@@ -88,7 +91,7 @@ class PartitionResult:
 
     solver: str
     assignment: np.ndarray
-    labels: Dict[NodeId, Hashable]
+    labels: Mapping[NodeId, Hashable]
     value: ObjectiveValue
     rounds: List[RoundStats]
     converged: bool
@@ -198,6 +201,45 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
+class _Labels(Mapping):
+    """``user id -> class label`` of one result, built on first read.
+
+    Holds its own copy of the assignment and a snapshot of the player
+    ids, so neither a caller writing ``result.assignment`` nor adding or
+    removing users on the instance afterwards (as
+    :class:`~repro.core.incremental.IncrementalRMGP` does in place)
+    changes these labels from what they were at :func:`make_result`.
+    The server keeps finished results and never reads their labels, so
+    building the dict eagerly would only cost memory per retained job.
+    Threads reading it at once may each build the dict; they are equal.
+    """
+
+    def __init__(self, instance: RMGPInstance, assignment: np.ndarray) -> None:
+        self._node_ids = tuple(instance.node_ids)
+        self._classes = instance.classes
+        self._assignment = np.array(assignment, dtype=np.int64)
+        self._built: Optional[Dict[NodeId, Hashable]] = None
+
+    def _labels(self) -> Dict[NodeId, Hashable]:
+        if self._built is None:
+            classes = self._classes
+            labels = [classes[j] for j in self._assignment.tolist()]
+            self._built = dict(zip(self._node_ids, labels))
+        return self._built
+
+    def __getitem__(self, node: NodeId) -> Hashable:
+        return self._labels()[node]
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self._labels())
+
+    def __len__(self) -> int:
+        return len(self._node_ids)
+
+    def __repr__(self) -> str:
+        return repr(self._labels())
+
+
 def make_result(
     solver: str,
     instance: RMGPInstance,
@@ -220,7 +262,7 @@ def make_result(
     return PartitionResult(
         solver=solver,
         assignment=np.asarray(assignment, dtype=np.int64).copy(),
-        labels=instance.assignment_to_labels(assignment),
+        labels=_Labels(instance, assignment),
         value=objective(instance, assignment),
         rounds=list(rounds),
         converged=converged,

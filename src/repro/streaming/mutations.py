@@ -91,7 +91,7 @@ class _MutationState:
 
     @classmethod
     def from_instance(cls, instance: RMGPInstance) -> "_MutationState":
-        matrix = instance.cost.dense()
+        matrix = instance.cost.view()
         return cls(
             graph=instance.graph.copy(),
             node_ids=list(instance.node_ids),

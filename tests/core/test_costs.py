@@ -129,3 +129,49 @@ class TestCoercion:
     def test_callable_with_dims(self):
         provider = as_cost_provider(lambda v: [1.0, 2.0], 4, 2)
         assert provider.cost(0, 1) == 2.0
+
+
+class TestView:
+    """``view()``: the costs for reading, sharing storage where it can."""
+
+    @staticmethod
+    def _matrix(seed=0, shape=(6, 4)):
+        return np.random.default_rng(seed).uniform(0.0, 3.0, shape)
+
+    def test_matrix_view_shares_storage_and_refuses_writes(self):
+        matrix = self._matrix()
+        cost = MatrixCost(matrix)
+        view = cost.view()
+        assert np.shares_memory(view, matrix)
+        assert view.tobytes() == matrix.tobytes()
+        with pytest.raises(ValueError):
+            view[0, 0] = 5.0
+        # The provider's own matrix stays writeable: only the view is
+        # frozen, and dense() is still a private, writeable copy.
+        assert not cost.read_only
+        dense = cost.dense()
+        assert not np.shares_memory(dense, matrix)
+        dense[0, 0] = 5.0
+        assert cost.cost(0, 0) == matrix[0, 0]
+
+    def test_scaled_and_combined_views_equal_their_rows(self):
+        a = MatrixCost(self._matrix(1))
+        b = FunctionCost(lambda v: self._matrix(2)[v], 6, 4)
+        for provider in (
+            ScaledCost(a, 0.37),
+            ScaledCost(ScaledCost(b, 3.1), 0.7),
+            CombinedCost([a, b], weights=[0.3, 0.0]),
+            CombinedCost([ScaledCost(a, 1.9), b], weights=[0.25, 0.75]),
+        ):
+            rows = np.vstack([provider.row(v) for v in range(6)])
+            view = provider.view()
+            assert view.shape == (6, 4)
+            assert view.tobytes() == rows.tobytes()
+            assert provider.dense().tobytes() == rows.tobytes()
+            assert not np.shares_memory(view, a.view())
+
+    def test_default_view_is_dense(self):
+        cost = FunctionCost(lambda v: [float(v), 1.0], 3, 2)
+        assert cost.view().tobytes() == cost.dense().tobytes()
+        empty = FunctionCost(lambda v: [1.0], 0, 1)
+        assert empty.view().shape == (0, 1)

@@ -17,6 +17,7 @@ from repro.core.serialize import (
 )
 from repro.errors import DataError
 from repro.graph import SocialGraph
+from repro.graph.generators import erdos_renyi
 from repro.obs import recording
 from repro.runtime import CountdownToken, SolveCheckpoint
 from repro.runtime.checkpoint import (
@@ -335,6 +336,22 @@ class TestCorruptCheckpointFailsClosed:
         checkpoint.round_index = 2
         _assert_fails_before_round_one(instance, "gt", {}, checkpoint)
 
+    @pytest.mark.parametrize("index", [True, 1, 2])
+    @pytest.mark.parametrize("name", ["gt", "vec"])
+    def test_round_trace_must_be_rounds_in_order(self, tmp_path, name, index):
+        """A round-1 checkpoint whose round 0 is relabelled (JSON ``true``
+        reads as 1) used to resume to a trace with round 1 twice."""
+        instance = random_instance()
+        path = str(tmp_path / f"{name}.ckpt.json")
+        partition(
+            instance, solver=name, seed=3, cancel_token=CountdownToken(1),
+            checkpoint_path=path,
+        )
+        checkpoint = load_checkpoint(path)
+        assert checkpoint.round_index == 1
+        checkpoint.rounds[0]["round_index"] = index
+        _assert_fails_before_round_one(instance, name, {}, checkpoint)
+
     def _hostile_file(self, tmp_path, write):
         instance, _ = _round0_checkpoint(tmp_path, "gt", {})
         path = tmp_path / "gt.ckpt.json"
@@ -361,3 +378,79 @@ class TestCorruptCheckpointFailsClosed:
 
         instance, path = self._hostile_file(tmp_path, retag)
         _assert_fails_before_round_one(instance, "gt", {}, path)
+
+
+def _heavy_instance(scale):
+    """200 x 8, α 0.5, uniform costs in [0, 1) and edge weights ``scale``
+    times larger: each table entry is a small difference of large
+    ``maxSC``-sized terms."""
+    graph = erdos_renyi(
+        200, 0.15, random.Random(1),
+        weight_sampler=lambda rng: scale * rng.random(),
+    )
+    cost = np.random.default_rng(1).uniform(0.0, 1.0, (200, 8))
+    return RMGPInstance(graph, list(range(8)), cost, alpha=0.5)
+
+
+#: The heavy solves start from a random assignment, so rounds 1-3 move.
+HEAVY = {"init": "random", "seed": 1}
+
+
+def _heavy_checkpoint(tmp_path, name, scale, rounds):
+    instance = _heavy_instance(scale)
+    path = str(tmp_path / f"{name}-{rounds}.ckpt.json")
+    partial = partition(
+        instance, solver=name, cancel_token=CountdownToken(rounds),
+        checkpoint_path=path, **HEAVY,
+    )
+    assert partial.stop_reason == "cancelled"
+    return instance, path
+
+
+class TestHeavyWeightTables:
+    """The resume check bounds rounding by each row's largest entry, so a
+    table of large edge weights resumes; edits are still refused."""
+
+    @pytest.mark.parametrize("scale", [1e6, 1e8])
+    @pytest.mark.parametrize("name", ["all", "gt"])
+    def test_resume_replays_the_uninterrupted_solve(self, tmp_path, name, scale):
+        reference = partition(_heavy_instance(scale), solver=name, **HEAVY)
+        for rounds in (1, 2, 3):
+            instance, path = _heavy_checkpoint(tmp_path, name, scale, rounds)
+            resumed = partition(
+                instance, solver=name, resume_from=path, **HEAVY
+            )
+            assert resumed.converged
+            assert (
+                resumed.assignment.tobytes() == reference.assignment.tobytes()
+            )
+            assert [r.deviations for r in resumed.rounds] == [
+                r.deviations for r in reference.rounds
+            ]
+            assert [r.players_examined for r in resumed.rounds[1:]] == [
+                r.players_examined for r in reference.rounds[1:]
+            ]
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["nan_row", "current_cheapest", "plus_inf", "minus_inf", "wrong_shape"],
+    )
+    @pytest.mark.parametrize("name", ["all", "gt"])
+    def test_edited_table_is_refused(self, tmp_path, name, edit):
+        instance, path = _heavy_checkpoint(tmp_path, name, 1e8, 2)
+        checkpoint = load_checkpoint(path)
+        table = checkpoint.state["table"]
+        current = checkpoint.assignment[1]
+        if edit == "nan_row":
+            table[1] = np.nan
+        elif edit == "current_cheapest":
+            table[1, current] = table[1].min() - 1.0
+        elif edit == "plus_inf":
+            table[1, current] = np.inf
+        elif edit == "minus_inf":
+            table[1, current] = -np.inf
+        else:
+            checkpoint.state["table"] = np.zeros((instance.n, instance.k + 1))
+        _assert_fails_before_round_one(
+            instance, name, {"init": "random"}, checkpoint
+        )
